@@ -27,7 +27,7 @@ void PrintViewAsChart(const vs::data::Table& table,
   if (!mat.ok()) return;
   std::printf("  %s\n", spec.Id().c_str());
   for (size_t b = 0; b < mat->target_dist.size(); ++b) {
-    std::printf("    %-18s |", mat->target.bin_labels[b].c_str());
+    std::printf("    %-18s |", mat->target.labels()[b].c_str());
     const int target_width = static_cast<int>(mat->target_dist[b] * 40);
     for (int i = 0; i < target_width; ++i) std::printf("#");
     std::printf("\n    %-18s |", "(reference)");

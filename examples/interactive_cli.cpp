@@ -45,7 +45,7 @@ void RenderView(const data::Table& table, const core::ViewSpec& spec,
     std::string ref_bar(
         static_cast<size_t>(mat->reference_dist[b] * 24), '-');
     std::printf("  %-20s %-28s %s\n",
-                mat->target.bin_labels[b].substr(0, 20).c_str(),
+                mat->target.labels()[b].substr(0, 20).c_str(),
                 target_bar.c_str(), ref_bar.c_str());
   }
 }

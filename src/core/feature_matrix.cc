@@ -201,12 +201,9 @@ vs::Result<FeatureMatrix> FeatureMatrix::Build(
       VS_RETURN_IF_ERROR(compute_group(g));
     }
   } else {
-    // Groups are independent and write disjoint rows.  Prewarming the
-    // executor's numeric-range cache first makes ExecuteBatch read-only,
-    // so a single executor can be shared across workers.
-    for (const ViewSpec& view : imm->views) {
-      VS_RETURN_IF_ERROR(executor.Prewarm(view.ToGroupBySpec()));
-    }
+    // Groups are independent and write disjoint rows.  The executor
+    // keeps no state of its own (ranges and full-table grids live in the
+    // thread-safe table memo), so one executor serves every worker.
     std::vector<vs::Status> group_status(groups.size());
     ThreadPool pool(options.num_threads);
     pool.ParallelFor(0, groups.size(), [&](size_t g) {

@@ -3,10 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
+#include <memory>
+#include <optional>
 
 #include "common/string_util.h"
 #include "data/groupby_kernel.h"
 #include "data/predicate.h"
+#include "data/table_memo.h"
 
 namespace vs::data {
 
@@ -32,7 +36,25 @@ double FinalizeKernelSlot(const KernelGrid& grid, size_t b,
   return 0.0;
 }
 
+using LabelsPtr = std::shared_ptr<const std::vector<std::string>>;
+
+/// "[lo, hi)" labels of an equi-width numeric binning.
+LabelsPtr NumericBinLabels(double lo, double width, int32_t num_bins) {
+  auto labels = std::make_shared<std::vector<std::string>>();
+  labels->reserve(static_cast<size_t>(num_bins));
+  for (int32_t b = 0; b < num_bins; ++b) {
+    labels->push_back(
+        vs::StrFormat("[%g, %g)", lo + b * width, lo + (b + 1) * width));
+  }
+  return labels;
+}
+
 }  // namespace
+
+const std::vector<std::string>& GroupByResult::labels() const {
+  static const std::vector<std::string> kNoLabels;
+  return bin_labels != nullptr ? *bin_labels : kNoLabels;
+}
 
 std::string GroupBySpec::ToString() const {
   std::string out = AggregateFunctionName(func) + "(" + measure +
@@ -51,8 +73,10 @@ vs::Result<GroupByExecutor::NumericBinDef> GroupByExecutor::NumericBins(
     return vs::Status::InvalidArgument("numeric dimension '" + dimension +
                                        "' requires num_bins > 0");
   }
-  auto it = range_cache_.find(dimension);
-  if (it == range_cache_.end()) {
+  TableMemo* memo = table_->memo();
+  std::optional<std::pair<double, double>> range;
+  if (memo != nullptr) range = memo->FindRange(dimension);
+  if (!range) {
     VS_ASSIGN_OR_RETURN(ColumnPtr col, table_->ColumnByName(dimension));
     VS_ASSIGN_OR_RETURN(NumericColumnView view,
                         NumericColumnView::Wrap(col.get()));
@@ -61,10 +85,10 @@ vs::Result<GroupByExecutor::NumericBinDef> GroupByExecutor::NumericBins(
     if (options_.use_kernel) {
       // Typed unrolled scan; min/max are associative, so lo/hi — and
       // therefore every bin boundary — are bit-identical to the scalar
-      // loop below.
-      VS_ASSIGN_OR_RETURN(auto range, KernelColumnRange(col.get()));
-      lo = range.first;
-      hi = range.second;
+      // loop below, and either path may fill the shared memo.
+      VS_ASSIGN_OR_RETURN(auto kernel_range, KernelColumnRange(col.get()));
+      lo = kernel_range.first;
+      hi = kernel_range.second;
     } else {
       for (size_t r = 0; r < view.size(); ++r) {
         if (view.IsNull(r)) continue;
@@ -77,9 +101,10 @@ vs::Result<GroupByExecutor::NumericBinDef> GroupByExecutor::NumericBins(
       return vs::Status::FailedPrecondition(
           "numeric dimension '" + dimension + "' has no non-null values");
     }
-    it = range_cache_.emplace(dimension, std::make_pair(lo, hi)).first;
+    range = memo != nullptr ? memo->PublishRange(dimension, {lo, hi})
+                            : std::make_pair(lo, hi);
   }
-  const auto [lo, hi] = it->second;
+  const auto [lo, hi] = *range;
   NumericBinDef def;
   def.lo = lo;
   const double span = hi - lo;
@@ -105,15 +130,6 @@ vs::Result<int32_t> GroupByExecutor::NumBins(const GroupBySpec& spec) const {
                                        "' requires num_bins > 0");
   }
   return spec.num_bins;
-}
-
-vs::Status GroupByExecutor::Prewarm(const GroupBySpec& spec) const {
-  VS_ASSIGN_OR_RETURN(ColumnPtr dim_col,
-                      table_->ColumnByName(spec.dimension));
-  if (dynamic_cast<const CategoricalColumn*>(dim_col.get()) != nullptr) {
-    return vs::Status::OK();
-  }
-  return NumericBins(spec.dimension, spec.num_bins).status();
 }
 
 vs::Result<GroupByResult> GroupByExecutor::Execute(
@@ -164,10 +180,8 @@ vs::Result<GroupByResult> GroupByExecutor::Execute(
       if (code == CategoricalColumn::kNullCode || measure.IsNull(r)) return;
       groups[static_cast<size_t>(code)].Add(measure.at(r));
     }));
-    result.bin_labels.reserve(card);
-    for (int32_t c = 0; c < card; ++c) {
-      result.bin_labels.push_back(cat->label(c));
-    }
+    result.bin_labels =
+        std::make_shared<const std::vector<std::string>>(cat->dictionary());
   } else {
     VS_ASSIGN_OR_RETURN(NumericColumnView dim,
                         NumericColumnView::Wrap(dim_col.get()));
@@ -183,11 +197,7 @@ vs::Result<GroupByResult> GroupByExecutor::Execute(
       if (b >= nb) b = nb - 1;  // max value lands in the last bin
       groups[static_cast<size_t>(b)].Add(measure.at(r));
     }));
-    result.bin_labels.reserve(nb);
-    for (int32_t b = 0; b < nb; ++b) {
-      result.bin_labels.push_back(vs::StrFormat(
-          "[%g, %g)", bins.lo + b * bins.width, bins.lo + (b + 1) * bins.width));
-    }
+    result.bin_labels = NumericBinLabels(bins.lo, bins.width, nb);
   }
 
   result.values.reserve(groups.size());
@@ -246,7 +256,7 @@ vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatch(
                       table_->ColumnByName(specs[0].dimension));
   const auto* cat = dynamic_cast<const CategoricalColumn*>(dim_col.get());
   int32_t num_bins = 0;
-  std::vector<std::string> bin_labels;
+  LabelsPtr bin_labels;
   std::function<int32_t(uint32_t)> bin_of;
   if (cat != nullptr) {
     if (specs[0].num_bins > 0) {
@@ -255,7 +265,8 @@ vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatch(
           "' must use num_bins = 0");
     }
     num_bins = cat->cardinality();
-    bin_labels = cat->dictionary();
+    bin_labels =
+        std::make_shared<const std::vector<std::string>>(cat->dictionary());
     bin_of = [cat](uint32_t r) { return cat->code(r); };
   } else {
     VS_ASSIGN_OR_RETURN(NumericColumnView dim,
@@ -264,11 +275,7 @@ vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatch(
         NumericBinDef bins,
         NumericBins(specs[0].dimension, specs[0].num_bins));
     num_bins = specs[0].num_bins;
-    for (int32_t b = 0; b < num_bins; ++b) {
-      bin_labels.push_back(vs::StrFormat("[%g, %g)",
-                                         bins.lo + b * bins.width,
-                                         bins.lo + (b + 1) * bins.width));
-    }
+    bin_labels = NumericBinLabels(bins.lo, bins.width, num_bins);
     const int32_t nb = num_bins;
     bin_of = [dim, bins, nb](uint32_t r) -> int32_t {
       if (dim.IsNull(r)) return -1;
@@ -361,7 +368,7 @@ vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatchKernel(
                       table_->ColumnByName(specs[0].dimension));
   const auto* cat = dynamic_cast<const CategoricalColumn*>(dim_col.get());
   int32_t num_bins = 0;
-  std::vector<std::string> bin_labels;
+  LabelsPtr bin_labels;
   KernelBinDef kernel_bins;
   const KernelBinDef* kernel_bins_ptr = nullptr;
   if (cat != nullptr) {
@@ -371,19 +378,15 @@ vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatchKernel(
           "' must use num_bins = 0");
     }
     num_bins = cat->cardinality();
-    bin_labels = cat->dictionary();
+    bin_labels =
+        std::make_shared<const std::vector<std::string>>(cat->dictionary());
   } else {
     VS_RETURN_IF_ERROR(NumericColumnView::Wrap(dim_col.get()).status());
     VS_ASSIGN_OR_RETURN(
         NumericBinDef bins,
         NumericBins(specs[0].dimension, specs[0].num_bins));
     num_bins = specs[0].num_bins;
-    bin_labels.reserve(static_cast<size_t>(num_bins));
-    for (int32_t b = 0; b < num_bins; ++b) {
-      bin_labels.push_back(vs::StrFormat("[%g, %g)",
-                                         bins.lo + b * bins.width,
-                                         bins.lo + (b + 1) * bins.width));
-    }
+    bin_labels = NumericBinLabels(bins.lo, bins.width, num_bins);
     kernel_bins.lo = bins.lo;
     kernel_bins.width = bins.width;
     kernel_bins_ptr = &kernel_bins;
@@ -392,11 +395,44 @@ vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatchKernel(
   GroupByKernelOptions kernel_options;
   kernel_options.dense_bins_max = options_.dense_bins_max;
   kernel_options.num_threads = options_.kernel_threads;
-  VS_ASSIGN_OR_RETURN(
-      std::vector<KernelGrid> grids,
-      GroupByKernelRun(dim_col.get(), kernel_bins_ptr, num_bins,
-                       measure_cols, selection, table_->num_rows(),
-                       kernel_options));
+
+  // Full-table grids come from the table memo when present; the kernel
+  // scans only for the measures still missing.  Each measure's grid is
+  // accumulated independently of the others in the pass, so a grid filled
+  // by one batch is bit-identical to what any other batch would compute.
+  TableMemo* memo = selection == nullptr ? table_->memo() : nullptr;
+  auto key_of = [&](size_t m) {
+    FullTableGridKey key;
+    key.dimension = specs[0].dimension;
+    key.num_bins = num_bins;
+    key.measure = measures[m];
+    key.kernel_threads =
+        options_.kernel_threads <= 1 ? 1 : options_.kernel_threads;
+    key.dense = num_bins <= options_.dense_bins_max;
+    return key;
+  };
+  std::vector<std::shared_ptr<const KernelGrid>> grids(measures.size());
+  std::vector<size_t> missing;
+  for (size_t m = 0; m < measures.size(); ++m) {
+    if (memo != nullptr) grids[m] = memo->FindGrid(key_of(m));
+    if (grids[m] == nullptr) missing.push_back(m);
+  }
+  if (!missing.empty()) {
+    std::vector<const Column*> scan_cols;
+    scan_cols.reserve(missing.size());
+    for (size_t m : missing) scan_cols.push_back(measure_cols[m]);
+    VS_ASSIGN_OR_RETURN(
+        std::vector<KernelGrid> fresh,
+        GroupByKernelRun(dim_col.get(), kernel_bins_ptr, num_bins,
+                         scan_cols, selection, table_->num_rows(),
+                         kernel_options));
+    for (size_t k = 0; k < missing.size(); ++k) {
+      auto grid = std::make_shared<const KernelGrid>(std::move(fresh[k]));
+      grids[missing[k]] =
+          memo != nullptr ? memo->PublishGrid(key_of(missing[k]), grid)
+                          : std::move(grid);
+    }
+  }
   const auto rows_seen = static_cast<int64_t>(
       selection != nullptr ? selection->size() : table_->num_rows());
 
@@ -406,7 +442,7 @@ vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatchKernel(
     GroupByResult result;
     result.bin_labels = bin_labels;
     result.rows_seen = rows_seen;
-    const KernelGrid& grid = grids[measure_of_spec[s]];
+    const KernelGrid& grid = *grids[measure_of_spec[s]];
     const size_t nb = grid.size();
     result.values.reserve(nb);
     result.counts = grid.counts;

@@ -9,12 +9,14 @@
 /// full table — the dictionary for categorical dimensions, full-table
 /// min/max for binned numeric dimensions — so that a target view (evaluated
 /// over a selection) and its reference view (evaluated over all rows) share
-/// identical, aligned bins.
+/// identical, aligned bins.  Numeric ranges and, on the kernel path,
+/// full-table grids are memoized in the table's TableMemo
+/// (data/table_memo.h), so executors are cheap to create and any number of
+/// them may run concurrently over one table.
 
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -41,7 +43,9 @@ struct GroupBySpec {
 /// Bins with no matching rows are present with value 0 / count 0 so target
 /// and reference results always have the same shape.
 struct GroupByResult {
-  std::vector<std::string> bin_labels;  ///< label per bin, full-table order
+  /// Label per bin, full-table order; one immutable vector shared by every
+  /// result of a batch.
+  std::shared_ptr<const std::vector<std::string>> bin_labels;
   std::vector<double> values;           ///< finalized aggregate per bin
   std::vector<int64_t> counts;          ///< contributing rows per bin
   std::vector<double> sums;             ///< Σ measure per bin
@@ -49,6 +53,9 @@ struct GroupByResult {
   int64_t rows_seen = 0;                ///< input rows scanned
 
   size_t num_bins() const { return values.size(); }
+
+  /// The bin labels (empty when none were set).
+  const std::vector<std::string>& labels() const;
 };
 
 /// \brief Execution-path knobs for GroupByExecutor.
@@ -64,8 +71,13 @@ struct GroupByExecutorOptions {
   size_t kernel_threads = 0;
 };
 
-/// \brief Executes GroupBySpecs against one table, with cached bin
-/// definitions shared by all selections.
+/// \brief Executes GroupBySpecs against one table, with bin definitions
+/// shared by all selections.
+///
+/// On the kernel path, full-table batches (`selection == nullptr`) are
+/// served from the table memo: only the grids it lacks are scanned, in one
+/// kernel pass, and then published.  The scalar oracle path memoizes only
+/// numeric ranges, never grids.
 class GroupByExecutor {
  public:
   /// Binds to \p table (not owned; must outlive the executor).
@@ -83,12 +95,6 @@ class GroupByExecutor {
   /// spec.num_bins).
   vs::Result<int32_t> NumBins(const GroupBySpec& spec) const;
 
-  /// Populates the numeric-range cache for \p spec's dimension (no-op for
-  /// categorical dimensions).  After every dimension used by a workload
-  /// has been prewarmed, Execute() performs no cache writes and the
-  /// executor may be shared by concurrent readers.
-  vs::Status Prewarm(const GroupBySpec& spec) const;
-
   /// Shared-scan batch execution (SeeDB-style): runs every spec in
   /// \p specs — all of which must share \p specs[0]'s dimension and bin
   /// count — over a *single* pass of the input, amortizing the dimension
@@ -104,19 +110,14 @@ class GroupByExecutor {
   /// The execution-path options this executor was built with.
   const GroupByExecutorOptions& options() const { return options_; }
 
-  /// Number of dimensions whose numeric range is cached — introspection
-  /// for the prewarm contract ("no cache writes after prewarm"): once
-  /// every dimension of a workload is prewarmed this value must not move
-  /// under any Execute/ExecuteBatch mix.
-  size_t num_cached_ranges() const { return range_cache_.size(); }
-
  private:
   struct NumericBinDef {
     double lo = 0.0;
     double width = 1.0;  // per-bin width; > 0
   };
 
-  /// Full-table [min, max] for a numeric dimension, cached per column.
+  /// Equi-width bins over the full-table [min, max] of a numeric
+  /// dimension; the range is memoized in the table memo.
   vs::Result<NumericBinDef> NumericBins(const std::string& dimension,
                                         int32_t num_bins) const;
 
@@ -128,8 +129,6 @@ class GroupByExecutor {
 
   const Table* table_;
   GroupByExecutorOptions options_;
-  mutable std::unordered_map<std::string, std::pair<double, double>>
-      range_cache_;  // dimension -> (min, max)
 };
 
 /// \brief A full aggregate query: optional filter + grouped aggregation.

@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "common/string_util.h"
+#include "data/table_memo.h"
 
 namespace vs::data {
 
@@ -35,6 +36,7 @@ vs::Result<Table> Table::Make(Schema schema, std::vector<ColumnPtr> columns) {
   t.schema_ = std::move(schema);
   t.columns_ = std::move(columns);
   t.num_rows_ = rows;
+  t.memo_ = std::make_shared<TableMemo>();
   return t;
 }
 

@@ -23,6 +23,8 @@ namespace vs::data {
 /// Sorted array of selected row ids; the engine's subset representation.
 using SelectionVector = std::vector<uint32_t>;
 
+class TableMemo;
+
 /// \brief An immutable, schema-tagged set of equal-length columns.
 class Table {
  public:
@@ -72,10 +74,17 @@ class Table {
   /// Selection vector covering every row.
   SelectionVector AllRows() const;
 
+  /// Memo of full-table aggregation state (data/table_memo.h), filled
+  /// lazily by GroupByExecutor.  Copies of this table share it; Make and
+  /// Take start an empty one.  Null only for a default-constructed or
+  /// moved-from table, which callers then serve uncached.
+  TableMemo* memo() const { return memo_.get(); }
+
  private:
   Schema schema_;
   std::vector<ColumnPtr> columns_;
   size_t num_rows_ = 0;
+  std::shared_ptr<TableMemo> memo_;
 };
 
 /// \brief Row-at-a-time table construction with type checking.

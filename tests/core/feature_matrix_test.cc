@@ -1,10 +1,15 @@
 #include "core/feature_matrix.h"
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core_test_util.h"
+#include "data/generator.h"
+#include "data/predicate.h"
+#include "data/table_memo.h"
 
 namespace vs::core {
 namespace {
@@ -324,6 +329,126 @@ TEST(FeatureMatrixTest, DeterministicAcrossBuilds) {
   for (size_t i = 0; i < a.matrix->num_views(); ++i) {
     for (size_t j = 0; j < a.matrix->num_features(); ++j) {
       EXPECT_DOUBLE_EQ(a.matrix->raw()(i, j), b.matrix->raw()(i, j));
+    }
+  }
+}
+
+// Exact builds and refinements read their reference views from the
+// table memo once a previous call filled it.  The matrices must not
+// depend on whether the memo was empty or filled: bit-identical raw
+// features, sequential or threaded.  70k DIAB rows put the reference
+// scans above the lane-replication threshold (2^16 rows).
+class FeatureMatrixMemoTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    data::DiabetesOptions options;
+    options.num_rows = 70000;
+    options.seed = 5;
+    base_ = new data::Table(*data::GenerateDiabetes(options));
+    views_ = new std::vector<ViewSpec>(*EnumerateViews(*base_, {}));
+    query_ = new data::SelectionVector(*data::SelectRows(
+        *base_, data::Compare("race", data::CompareOp::kEq,
+                              data::Value("Asian"))));
+  }
+  static void TearDownTestSuite() {
+    delete query_;
+    delete views_;
+    delete base_;
+  }
+
+  /// Same columns as the generated table, empty memo.
+  static data::Table EmptyMemoTable() {
+    std::vector<data::ColumnPtr> columns;
+    for (size_t c = 0; c < base_->num_columns(); ++c) {
+      columns.push_back(base_->column(c));
+    }
+    return *data::Table::Make(base_->schema(), std::move(columns));
+  }
+
+  static void ExpectSameRaw(const FeatureMatrix& want,
+                            const FeatureMatrix& got) {
+    const ml::Matrix& a = want.raw();
+    const ml::Matrix& b = got.raw();
+    ASSERT_EQ(a.rows(), b.rows());
+    ASSERT_EQ(a.cols(), b.cols());
+    for (size_t i = 0; i < a.rows(); ++i) {
+      for (size_t j = 0; j < a.cols(); ++j) {
+        const double x = a(i, j);
+        const double y = b(i, j);
+        EXPECT_EQ(std::memcmp(&x, &y, sizeof(double)), 0)
+            << "row " << i << " col " << j << ": " << x << " vs " << y;
+      }
+    }
+  }
+
+  static data::Table* base_;
+  static std::vector<ViewSpec>* views_;
+  static data::SelectionVector* query_;
+};
+
+data::Table* FeatureMatrixMemoTest::base_ = nullptr;
+std::vector<ViewSpec>* FeatureMatrixMemoTest::views_ = nullptr;
+data::SelectionVector* FeatureMatrixMemoTest::query_ = nullptr;
+
+TEST_F(FeatureMatrixMemoTest, ExactBuildSameWithEmptyAndFilledMemo) {
+  const UtilityFeatureRegistry registry = UtilityFeatureRegistry::Default();
+  const data::Table empty = EmptyMemoTable();
+  auto want = FeatureMatrix::Build(&empty, *views_, *query_, &registry, {});
+  ASSERT_TRUE(want.ok());
+  ASSERT_GT(empty.memo()->num_grids(), 0u);
+
+  // Same table, memo now filled: served references.
+  auto served = FeatureMatrix::Build(&empty, *views_, *query_, &registry, {});
+  ASSERT_TRUE(served.ok());
+  ExpectSameRaw(*want, *served);
+
+  // Threaded builds racing to fill a fresh memo, then reading it.
+  const data::Table raced = EmptyMemoTable();
+  FeatureMatrixOptions threaded;
+  threaded.num_threads = 4;
+  for (int round = 0; round < 2; ++round) {
+    auto got =
+        FeatureMatrix::Build(&raced, *views_, *query_, &registry, threaded);
+    ASSERT_TRUE(got.ok());
+    ExpectSameRaw(*want, *got);
+  }
+  EXPECT_EQ(raced.memo()->num_grids(), empty.memo()->num_grids());
+}
+
+TEST_F(FeatureMatrixMemoTest, RefineRowsSameWithEmptyAndFilledMemo) {
+  const UtilityFeatureRegistry registry = UtilityFeatureRegistry::Default();
+  FeatureMatrixOptions rough;
+  rough.sample_rate = 0.1;
+  rough.seed = 77;
+  std::vector<size_t> rows;
+  for (size_t i = 0; i < views_->size(); i += 7) rows.push_back(i);
+
+  // Refinement over a table whose memo is empty: every reference scans.
+  const data::Table empty = EmptyMemoTable();
+  auto want = FeatureMatrix::Build(&empty, *views_, *query_, &registry, rough);
+  ASSERT_TRUE(want.ok());
+  // A rough build uses a sampled reference and fills no grids.
+  EXPECT_EQ(empty.memo()->num_grids(), 0u);
+  ASSERT_TRUE(want->RefineRows(rows).ok());
+
+  // Refinement over a table whose memo an exact build filled first.
+  const data::Table filled = EmptyMemoTable();
+  auto exact = FeatureMatrix::Build(&filled, *views_, *query_, &registry, {});
+  ASSERT_TRUE(exact.ok());
+  const size_t grids = filled.memo()->num_grids();
+  auto got = FeatureMatrix::Build(&filled, *views_, *query_, &registry, rough);
+  ASSERT_TRUE(got.ok());
+  ASSERT_TRUE(got->RefineRows(rows).ok());
+  EXPECT_EQ(filled.memo()->num_grids(), grids);  // every reference served
+  ExpectSameRaw(*want, *got);
+  // The refined rows are the exact rows; the refinement cost is unchanged.
+  EXPECT_EQ(got->num_exact(), rows.size());
+  EXPECT_EQ(got->RefineCostPerRow(), want->RefineCostPerRow());
+  for (size_t i : rows) {
+    for (size_t j = 0; j < got->num_features(); ++j) {
+      const double x = exact->raw()(i, j);
+      const double y = got->raw()(i, j);
+      EXPECT_EQ(std::memcmp(&x, &y, sizeof(double)), 0);
     }
   }
 }

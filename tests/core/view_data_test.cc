@@ -15,7 +15,7 @@ TEST(MaterializeViewTest, TargetAndReferenceAlign) {
   auto mat = MaterializeView(executor, spec, query);
   ASSERT_TRUE(mat.ok());
   EXPECT_EQ(mat->target.num_bins(), mat->reference.num_bins());
-  EXPECT_EQ(mat->target.bin_labels, mat->reference.bin_labels);
+  EXPECT_EQ(mat->target.labels(), mat->reference.labels());
   EXPECT_EQ(mat->target_dist.size(), mat->reference_dist.size());
 }
 
@@ -42,8 +42,8 @@ TEST(MaterializeViewTest, TargetUsesOnlyQueryRows) {
   // Query is color == red: all target mass in the red bin.
   // Dictionary order comes from insertion; find the red bin by label.
   size_t red_bin = 0;
-  for (size_t b = 0; b < mat->target.bin_labels.size(); ++b) {
-    if (mat->target.bin_labels[b] == "red") red_bin = b;
+  for (size_t b = 0; b < mat->target.labels().size(); ++b) {
+    if (mat->target.labels()[b] == "red") red_bin = b;
   }
   EXPECT_DOUBLE_EQ(mat->target_dist[red_bin], 1.0);
   EXPECT_EQ(mat->target.rows_seen, static_cast<int64_t>(query.size()));

@@ -14,6 +14,7 @@
 #include "common/random.h"
 #include "data/groupby.h"
 #include "data/table.h"
+#include "data/table_memo.h"
 #include "data/value.h"
 
 namespace vs::data {
@@ -115,7 +116,7 @@ std::optional<SelectionVector> MakeRandomSelection(Rng& rng, size_t rows) {
 void ExpectExactlyEqual(const GroupByResult& oracle, const GroupByResult& got,
                         const std::string& context) {
   SCOPED_TRACE(context);
-  EXPECT_EQ(oracle.bin_labels, got.bin_labels);
+  EXPECT_EQ(oracle.labels(), got.labels());
   EXPECT_EQ(oracle.counts, got.counts);
   EXPECT_EQ(oracle.rows_seen, got.rows_seen);
   // Bit-identical: the serial small-input kernel promises the oracle's
@@ -140,7 +141,7 @@ void ExpectNear(double a, double b, const char* what, size_t bin) {
 void ExpectEquivalent(const GroupByResult& oracle, const GroupByResult& got,
                       AggregateFunction func, const std::string& context) {
   SCOPED_TRACE(context);
-  EXPECT_EQ(oracle.bin_labels, got.bin_labels);
+  EXPECT_EQ(oracle.labels(), got.labels());
   EXPECT_EQ(oracle.counts, got.counts);
   EXPECT_EQ(oracle.rows_seen, got.rows_seen);
   ASSERT_EQ(oracle.values.size(), got.values.size());
@@ -329,9 +330,10 @@ TEST(GroupByKernelDifferentialTest, ErrorStatusParity) {
   }
 }
 
-// Many-thread stress, aimed at the sanitizer CI jobs: a prewarmed
-// executor with an 8-way kernel partial split shared by 4 concurrent
-// reader threads.  Every result must still match the scalar oracle
+// Many-thread stress, aimed at the sanitizer CI jobs: an executor with an
+// 8-way kernel partial split shared by 4 concurrent reader threads, with
+// nothing prewarmed — the readers race to fill the table memo's range and
+// full-table grids.  Every result must still match the scalar oracle
 // (TSan/ASan make any partial-buffer race or merge-order bug visible;
 // the assertions make silent corruption visible everywhere else).
 TEST(GroupByKernelStressTest, ConcurrentReadersOverThreadedKernel) {
@@ -351,9 +353,16 @@ TEST(GroupByKernelStressTest, ConcurrentReadersOverThreadedKernel) {
   }
   Table table = *b.Build();
 
+  // The oracle runs over a second table on the same columns, so its
+  // range fill leaves the stressed table's memo empty.
+  std::vector<ColumnPtr> columns;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    columns.push_back(table.column(c));
+  }
+  Table oracle_table = *Table::Make(table.schema(), columns);
   GroupByExecutorOptions scalar_options;
   scalar_options.use_kernel = false;
-  GroupByExecutor scalar(&table, scalar_options);
+  GroupByExecutor scalar(&oracle_table, scalar_options);
   GroupByExecutorOptions kernel_options;
   kernel_options.kernel_threads = 8;
   GroupByExecutor kernel(&table, kernel_options);
@@ -364,10 +373,6 @@ TEST(GroupByKernelStressTest, ConcurrentReadersOverThreadedKernel) {
       {"x", "m", AggregateFunction::kAvg, 8},
       {"x", "m", AggregateFunction::kCount, 8},
   };
-  for (const GroupBySpec& spec : specs) {
-    ASSERT_TRUE(scalar.Prewarm(spec).ok());
-    ASSERT_TRUE(kernel.Prewarm(spec).ok());
-  }
   std::vector<GroupByResult> oracles;
   for (const GroupBySpec& spec : specs) {
     auto r = scalar.Execute(spec, nullptr);
@@ -386,7 +391,7 @@ TEST(GroupByKernelStressTest, ConcurrentReadersOverThreadedKernel) {
         const GroupByResult& oracle = oracles[(t + round) % specs.size()];
         auto got = kernel.Execute(spec, nullptr);
         if (!got.ok() || got->counts != oracle.counts ||
-            got->bin_labels != oracle.bin_labels ||
+            got->labels() != oracle.labels() ||
             got->rows_seen != oracle.rows_seen) {
           failures.fetch_add(1);
         }
@@ -395,6 +400,10 @@ TEST(GroupByKernelStressTest, ConcurrentReadersOverThreadedKernel) {
   }
   for (std::thread& reader : readers) reader.join();
   EXPECT_EQ(failures.load(), 0);
+  // One range ("x") and one grid per (dimension, bins, measure) filled,
+  // however the readers interleaved.
+  EXPECT_EQ(table.memo()->num_ranges(), 1u);
+  EXPECT_EQ(table.memo()->num_grids(), 2u);
 
   // Full-precision check once the swarm is done (tolerance: 8-way merge
   // plus lane replication reassociate the sums).

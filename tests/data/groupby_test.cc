@@ -40,7 +40,7 @@ TEST(GroupByTest, SumPerCategory) {
   auto r = ex.Execute({"color", "v", AggregateFunction::kSum, 0}, nullptr);
   ASSERT_TRUE(r.ok());
   // Dictionary order: red, blue, green.
-  EXPECT_EQ(r->bin_labels,
+  EXPECT_EQ(r->labels(),
             (std::vector<std::string>{"red", "blue", "green"}));
   EXPECT_DOUBLE_EQ(r->values[0], 4.0);
   EXPECT_DOUBLE_EQ(r->values[1], 8.0);
@@ -203,7 +203,7 @@ TEST(ExecuteBatchTest, MatchesPerSpecExecution) {
     ASSERT_TRUE(single.ok());
     EXPECT_EQ((*batch)[s].values, single->values) << specs[s].ToString();
     EXPECT_EQ((*batch)[s].counts, single->counts);
-    EXPECT_EQ((*batch)[s].bin_labels, single->bin_labels);
+    EXPECT_EQ((*batch)[s].labels(), single->labels());
     EXPECT_EQ((*batch)[s].rows_seen, single->rows_seen);
   }
 }

@@ -61,7 +61,7 @@ void ExpectDifferentialMatch(const Table& table, const GroupBySpec& spec,
       EXPECT_EQ(oracle.status().code(), got.status().code());
       continue;
     }
-    EXPECT_EQ(oracle->bin_labels, got->bin_labels);
+    EXPECT_EQ(oracle->labels(), got->labels());
     EXPECT_EQ(oracle->counts, got->counts);
     EXPECT_EQ(oracle->rows_seen, got->rows_seen);
     ExpectSameDoubles(oracle->values, got->values, "values");

@@ -92,7 +92,7 @@ TEST(RunSqlTest, EndToEndAggregation) {
   Table t = TestTable();
   auto r = RunSql(t, "SELECT SUM(sales) FROM t GROUP BY region");
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->bin_labels, (std::vector<std::string>{"east", "west"}));
+  EXPECT_EQ(r->labels(), (std::vector<std::string>{"east", "west"}));
   EXPECT_DOUBLE_EQ(r->values[0], 40.0);
   EXPECT_DOUBLE_EQ(r->values[1], 60.0);
 }

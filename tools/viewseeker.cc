@@ -327,7 +327,7 @@ int CmdSql(const Args& args) {
   auto result = data::RunSql(*table, sql);
   if (!result.ok()) return Fail(result.status());
   for (size_t b = 0; b < result->num_bins(); ++b) {
-    std::printf("%-24s %.6g  (n=%lld)\n", result->bin_labels[b].c_str(),
+    std::printf("%-24s %.6g  (n=%lld)\n", result->labels()[b].c_str(),
                 result->values[b],
                 static_cast<long long>(result->counts[b]));
   }
