@@ -85,6 +85,37 @@ std::string ForwardTarget(const HttpRequest& request) {
   return request.path + "?" + request.query;
 }
 
+/// Renders a worker's reply for the client: status, body, content type
+/// and the worker headers a client behind the router still needs.
+HttpResponse RelayShardResponse(serve::ClientResponse upstream,
+                                const std::string& shard_name) {
+  HttpResponse response;
+  response.status = upstream.status;
+  response.body = std::move(upstream.body);
+  if (const std::string* type = upstream.FindHeader("content-type")) {
+    response.content_type = *type;
+  }
+  if (const std::string* stages = upstream.FindHeader("x-request-stages")) {
+    response.extra_headers.emplace_back("X-Request-Stages", *stages);
+  }
+  if (const std::string* quality = upstream.FindHeader("x-quality")) {
+    // Brownout marker: clients behind the router still learn the answer
+    // was served from a partially refined matrix.
+    response.extra_headers.emplace_back("X-Quality", *quality);
+  }
+  if (const std::string* echoed =
+          upstream.FindHeader("x-deadline-budget-ms")) {
+    // The worker echoes the deadline it received; copying it through
+    // makes the router's hop decrement observable at the client.
+    response.extra_headers.emplace_back("X-Deadline-Budget-Ms", *echoed);
+  }
+  // Stamped by the router, not copied: the worker only knows its name
+  // when launched with --shard-name, and the router's view of who served
+  // the request is the one debugging needs.
+  response.extra_headers.emplace_back("X-Shard", shard_name);
+  return response;
+}
+
 HttpResponse JsonOk(std::string body, int status = 200) {
   HttpResponse response;
   response.status = status;
@@ -321,32 +352,7 @@ HttpResponse ClusterRouter::ForwardToShard(Shard& shard,
         StrFormat("shard %s unreachable: %s", shard.address.name.c_str(),
                   out.response.status().message().c_str()));
   }
-  HttpResponse response;
-  response.status = out.response->status;
-  response.body = std::move(out.response->body);
-  if (const std::string* type = out.response->FindHeader("content-type")) {
-    response.content_type = *type;
-  }
-  if (const std::string* stages =
-          out.response->FindHeader("x-request-stages")) {
-    response.extra_headers.emplace_back("X-Request-Stages", *stages);
-  }
-  if (const std::string* quality = out.response->FindHeader("x-quality")) {
-    // Brownout marker: clients behind the router still learn the answer
-    // was served from a partially refined matrix.
-    response.extra_headers.emplace_back("X-Quality", *quality);
-  }
-  if (const std::string* echoed =
-          out.response->FindHeader("x-deadline-budget-ms")) {
-    // The worker echoes the deadline it received; copying it through
-    // makes the router's hop decrement observable at the client.
-    response.extra_headers.emplace_back("X-Deadline-Budget-Ms", *echoed);
-  }
-  // Stamped by the router, not copied: the worker only knows its name
-  // when launched with --shard-name, and the router's view of who served
-  // the request is the one debugging needs.
-  response.extra_headers.emplace_back("X-Shard", shard.address.name);
-  return response;
+  return RelayShardResponse(std::move(*out.response), shard.address.name);
 }
 
 vs::Status ClusterRouter::EnterSession(const std::string& id) {
@@ -485,21 +491,7 @@ HttpResponse ClusterRouter::HandleCreate(const HttpRequest& request,
       m.retries_503->Increment();
       continue;
     }
-    HttpResponse response;
-    response.status = out.response->status;
-    response.body = std::move(out.response->body);
-    if (const std::string* type = out.response->FindHeader("content-type")) {
-      response.content_type = *type;
-    }
-    if (const std::string* quality = out.response->FindHeader("x-quality")) {
-      response.extra_headers.emplace_back("X-Quality", *quality);
-    }
-    if (const std::string* echoed =
-            out.response->FindHeader("x-deadline-budget-ms")) {
-      response.extra_headers.emplace_back("X-Deadline-Budget-Ms", *echoed);
-    }
-    response.extra_headers.emplace_back("X-Shard", shard->address.name);
-    return response;
+    return RelayShardResponse(std::move(*out.response), shard->address.name);
   }
   return last;
 }

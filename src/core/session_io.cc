@@ -107,14 +107,10 @@ vs::Result<ViewSeeker> RestoreSession(const FeatureMatrix* matrix,
   if (lines.empty()) {
     return vs::Status::InvalidArgument("bad session header");
   }
-  const std::string_view header = vs::Trim(lines[0]);
-  if (header != "viewseeker-session v1" &&
-      header != "viewseeker-session v2") {
+  if (vs::Trim(lines[0]) != "viewseeker-session v2") {
     return vs::Status::InvalidArgument("bad session header");
   }
-  if (header == "viewseeker-session v2") {
-    VS_RETURN_IF_ERROR(VerifySessionCrc(text));
-  }
+  VS_RETURN_IF_ERROR(VerifySessionCrc(text));
 
   ViewSeekerOptions options;
   VS_ASSIGN_OR_RETURN(std::string k_text, ExpectPrefixed(lines, 1, "k:"));

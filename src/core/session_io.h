@@ -19,10 +19,9 @@
 ///   <view id>\t<label>          (one per labeled view, in label order)
 ///   crc32: <8 lowercase hex>    (CRC-32 of every byte above this line)
 ///
-/// v2 appends the `crc32:` trailer so a torn or bit-rotted save is
-/// detected instead of silently replaying a prefix of the labels.  The
-/// reader still accepts v1 text (identical layout, no trailer) — old
-/// spill files keep restoring.
+/// The `crc32:` trailer detects a torn or bit-rotted save instead of
+/// silently replaying a prefix of the labels.  v1 text (the same layout
+/// without the trailer) is rejected: every snapshot on disk is v2.
 ///
 /// View identity crosses processes via ViewSpec::Id(), so the restored
 /// matrix may be built fresh (even at a different sample rate) as long as

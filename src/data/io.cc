@@ -77,6 +77,9 @@ class Reader {
 
   vs::Status GetBytes(void* dst, size_t n) {
     VS_RETURN_IF_ERROR(Need(n));
+    // An empty column hands over a null dst; memcpy requires non-null
+    // pointers even for zero bytes.
+    if (n == 0) return vs::Status::OK();
     std::memcpy(dst, bytes_.data() + pos_, n);
     pos_ += n;
     return vs::Status::OK();

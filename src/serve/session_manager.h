@@ -12,15 +12,16 @@
 ///    parallel, requests to one session serialize on its mutex;
 ///  * max-session backpressure — Create (and restore) beyond the cap fail
 ///    with ResourceExhausted, which the HTTP layer maps to 429;
-///  * TTL idle eviction: sessions idle past the TTL are persisted through
-///    core/session_io into the spill directory and dropped from memory;
-///    any later request on the id transparently restores them (rebuilding
-///    the feature matrix and replaying labels — bit-identical estimators);
-///  * crash safety (optional, serve/durability.h): with a durability
-///    directory configured, every acknowledged label is journaled and
-///    fsync'd before the ack, snapshots rotate atomically, and
-///    RecoverFromDisk() rebuilds the session registry after a crash —
-///    acknowledged labels survive, torn in-flight writes are dropped.
+///  * crash safety and TTL eviction through one persistence path
+///    (serve/durability.h): with a durability directory configured, every
+///    acknowledged label is journaled (fsync'd unless durability_fsync is
+///    off) before the ack, snapshots rotate atomically, and
+///    RecoverFromDisk() rebuilds the session registry after a crash.
+///    Sessions idle past the TTL are rotated to a snapshot and dropped
+///    from memory; any later request on the id transparently restores
+///    them (rebuilding the feature matrix and replaying labels —
+///    bit-identical estimators).  Without a durability directory, eviction
+///    drops a session for good and its id answers NotFound.
 ///
 /// Lock order: the registry mutex is never held while building matrices or
 /// while a session mutex is held by the same thread *after* it; request
@@ -34,6 +35,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,11 +56,9 @@ namespace vs::serve {
 struct SessionManagerOptions {
   /// Live-session cap; Create/restore beyond it is rejected (HTTP 429).
   size_t max_sessions = 256;
-  /// Sessions idle longer than this are evicted to the spill directory.
+  /// Sessions idle longer than this are evicted: snapshotted to the
+  /// durability directory, or dropped for good when there is none.
   double session_ttl_seconds = 300.0;
-  /// Where evicted sessions are persisted.  Empty disables spill — evicted
-  /// sessions are then dropped for good (their ids 404 afterwards).
-  std::string spill_dir;
   /// Worker threads for per-session feature-matrix builds (0 = inline).
   size_t feature_threads = 0;
   /// Default ViewSeeker option bounds.
@@ -78,7 +78,7 @@ struct SessionManagerOptions {
   double matrix_cache_ttl_seconds = 0.0;
   /// @}
   /// \name Crash-safe durability (see serve/durability.h).  Empty dir
-  /// disables it (sessions live in memory / the spill dir only).
+  /// disables it: sessions live in memory only, and eviction drops them.
   /// @{
   std::string durability_dir;
   /// fsync journal appends + snapshots.  Leave on in production — it *is*
@@ -137,7 +137,7 @@ struct CreateSpec {
   core::ViewSeekerOptions options;
 };
 
-/// Ids become durability/spill filenames, so the alphabet is restricted:
+/// Ids become durability filenames, so the alphabet is restricted:
 /// 1..64 chars of [A-Za-z0-9._-], first char alphanumeric (no dotfiles,
 /// no option-looking names, no path separators).
 bool ValidSessionId(const std::string& id);
@@ -193,8 +193,8 @@ class SessionManager {
 
   /// \name Live migration (cluster router, see src/cluster/).
   /// @{
-  /// The session's current state as a self-contained spill envelope
-  /// (same format the durability snapshots use).  The session stays
+  /// The session's current state as a self-contained envelope (the
+  /// format the durability snapshots use).  The session stays
   /// live and serving here — export does not detach it; the *router*
   /// deletes it from the source once the target has it.  With
   /// durability on, the returned envelope is also persisted as the
@@ -271,10 +271,11 @@ class SessionManager {
     /// builds, cleared once refinement makes every row exact).  Atomic so
     /// the healer and /statusz can scan without taking session locks.
     std::atomic<bool> degraded{false};
-    /// Set (under mu) when eviction spills this object and drops it from
-    /// the live map.  From then on the spill is the authoritative copy;
-    /// a caller that locked a detached object must re-acquire, or any
-    /// state it writes here is silently lost on the next restore.
+    /// Set (under mu) when eviction drops this object from the live map,
+    /// after snapshotting it when durability is on.  From then on the
+    /// snapshot is the authoritative copy; a caller that locked a detached
+    /// object must re-acquire, or any state it writes here is silently
+    /// lost on the next restore.
     bool detached = false;
   };
 
@@ -283,15 +284,6 @@ class SessionManager {
   struct LockedSession {
     std::shared_ptr<Session> session;
     std::unique_lock<std::mutex> lock;
-  };
-
-  /// Where an evicted session went, kept in memory for restore.
-  struct SpilledSession {
-    std::string file_path;
-    /// True = lives as `<id>.snap` + `<id>.wal` in the durability dir
-    /// (restore replays the journal tail and keeps the files); false =
-    /// a plain spill file (restore deletes it).
-    bool durable = false;
   };
 
   int64_t NowMicros() const;
@@ -303,17 +295,17 @@ class SessionManager {
       const std::string& table_path, const std::string& filter,
       const core::ViewSeekerOptions& seeker_options,
       const std::string* restore_text);
-  /// Looks up a live session, restoring from spill when needed.
+  /// Looks up a live session, restoring an evicted one when needed.
   vs::Result<std::shared_ptr<Session>> Acquire(const std::string& id);
   /// Acquire + lock, retrying when the object was detached by a
   /// concurrent eviction between the lookup and the lock.
   vs::Result<LockedSession> AcquireLocked(const std::string& id);
-  vs::Result<std::shared_ptr<Session>> Restore(const std::string& id,
-                                               const SpilledSession& spill);
-  /// Rebuilds a session from `<id>.snap` + `<id>.wal` (journal replayed,
-  /// files kept — the disk state stays the authoritative copy).
-  vs::Result<std::shared_ptr<Session>> RestoreDurable(const std::string& id);
-  /// Spill-envelope text for the session's current state (mu held).
+  /// Rebuilds an evicted session from `<id>.snap` + `<id>.wal` (journal
+  /// replayed, files kept — the disk state stays the authoritative copy).
+  /// Only stored bytes that fail validation are quarantined; any other
+  /// failure leaves the id evicted, so the next lookup retries.
+  vs::Result<std::shared_ptr<Session>> Restore(const std::string& id);
+  /// Envelope text for the session's current state (mu held).
   vs::Result<std::string> EnvelopeLocked(Session& session) const;
   /// Writes `envelope` as the session's snapshot and truncates the
   /// journal (mu held).  OK means that exact state is durable.
@@ -345,7 +337,8 @@ class SessionManager {
 
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<Session>> sessions_;
-  std::map<std::string, SpilledSession> evicted_;
+  /// Ids evicted to (or recovered from) the durability directory.
+  std::set<std::string> evicted_;
   std::map<std::string, std::shared_ptr<const LoadedTable>> tables_;
   uint64_t id_counter_ = 0;
   Rng id_rng_;

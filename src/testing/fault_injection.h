@@ -8,8 +8,8 @@
 /// Production code marks failure-prone operations with named *fault
 /// points*:
 ///
-///     if (VS_FAULT("session.spill_enospc")) {
-///       return vs::Status::IOError("injected spill write failure");
+///     if (VS_FAULT("snapshot.read_fail")) {
+///       return vs::Status::IOError("injected snapshot read failure");
 ///     }
 ///
 /// With no injector installed (the default, and the only state production

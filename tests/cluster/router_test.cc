@@ -253,6 +253,12 @@ TEST_F(RouterTest, CreatePlacesByRingAndStampsHeaders) {
   for (auto& worker : workers_) {
     EXPECT_EQ(worker->manager->Info(id).ok(), worker->name == *owner);
   }
+  // The worker's stage breakdown reaches the client through a routed
+  // create, as it does through every other forwarded request.
+  const std::string* stages = Header(created, "X-Request-Stages");
+  ASSERT_NE(stages, nullptr);
+  EXPECT_NE(stages->find("session_manager.create"), std::string::npos)
+      << *stages;
   // Router-generated ids get a rt- request id; client ids pass through.
   EXPECT_NE(Header(created, "X-Request-Id"), nullptr);
   HttpRequest with_id = Req("GET", "/sessions/" + id + "/topk");

@@ -2,9 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
-
+#include "common/crc32.h"
+#include "common/string_util.h"
 #include "core/ideal_utility.h"
 #include "core/simulated_user.h"
 #include "core_test_util.h"
@@ -22,6 +21,15 @@ std::string DowngradeToV1(std::string text) {
   EXPECT_NE(trailer, std::string::npos);
   text.erase(trailer + 1);
   return text;
+}
+
+/// Recomputes the `crc32:` trailer after a test edited the body, so the
+/// edit reaches the format checks instead of failing the checksum.
+std::string Reseal(std::string text) {
+  const size_t trailer = text.rfind("\ncrc32: ");
+  EXPECT_NE(trailer, std::string::npos);
+  text.erase(trailer + 1);
+  return text + vs::StrFormat("crc32: %08x\n", vs::Crc32(text));
 }
 
 /// Runs a few labeling iterations and returns the seeker.
@@ -127,15 +135,16 @@ TEST(SessionIoTest, MalformedInputsRejected) {
   auto world = testutil::MakeMiniWorld();
   EXPECT_FALSE(RestoreSession(world.matrix.get(), "").ok());
   EXPECT_FALSE(RestoreSession(world.matrix.get(), "garbage").ok());
-  EXPECT_FALSE(RestoreSession(nullptr, "viewseeker-session v1\n").ok());
+  EXPECT_FALSE(RestoreSession(nullptr, "viewseeker-session v2\n").ok());
 
   ViewSeeker original = LabeledSeeker(world.matrix.get(), 2);
-  // Corrupt a view id on a v1 body (no checksum) so the semantic check,
-  // not the integrity check, has to catch it.
-  std::string bad = DowngradeToV1(*SaveSession(original));
+  // Corrupt a view id and reseal the checksum so the semantic check, not
+  // the integrity check, has to catch it.
+  std::string bad = *SaveSession(original);
   const size_t pos = bad.find("BY");
   ASSERT_NE(pos, std::string::npos);
   bad.replace(pos, 2, "ZZ");
+  bad = Reseal(bad);
   auto r = RestoreSession(world.matrix.get(), bad);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsNotFound());
@@ -164,38 +173,15 @@ TEST(SessionIoTest, V2ChecksumDetectsCorruption) {
   EXPECT_FALSE(RestoreSession(world.matrix.get(), bad_trailer).ok());
 }
 
-TEST(SessionIoTest, V1SessionsStillRestore) {
-  // In-memory downgrade: the v1 reader path accepts trailer-less text.
+TEST(SessionIoTest, V1SessionsAreRejected) {
+  // Every snapshot on disk is v2, so the trailer-less v1 format written by
+  // pre-CRC releases is invalid input, not a second format to support.
   auto world = testutil::MakeMiniWorld();
-  ViewSeeker original = LabeledSeeker(world.matrix.get(), 5);
-  const std::string v1 = DowngradeToV1(*SaveSession(original));
-  auto restored = RestoreSession(world.matrix.get(), v1);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->num_labeled(), original.num_labeled());
-  EXPECT_EQ(restored->labels(), original.labels());
-  EXPECT_EQ(*restored->RecommendTopK(), *original.RecommendTopK());
-}
-
-TEST(SessionIoTest, CommittedV1FixtureRestores) {
-  // Bytes written by the pre-CRC release, committed verbatim: upgrading
-  // the binary must never orphan spilled sessions already on disk.
-  std::ifstream in(std::string(VS_TESTDATA_DIR) + "/session_v1.session",
-                   std::ios::binary);
-  ASSERT_TRUE(in.is_open());
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  ASSERT_EQ(text.compare(0, 21, "viewseeker-session v1"), 0);
-
-  auto world = testutil::MakeMiniWorld();
-  auto restored = RestoreSession(world.matrix.get(), text);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->num_labeled(), 4u);
-  // The fixture was recorded with the same deterministic labeling loop;
-  // replaying it live must agree with the committed bytes.
-  ViewSeeker relabeled = LabeledSeeker(world.matrix.get(), 4);
-  EXPECT_EQ(restored->labeled(), relabeled.labeled());
-  EXPECT_EQ(restored->labels(), relabeled.labels());
+  ViewSeeker original = LabeledSeeker(world.matrix.get(), 4);
+  auto restored =
+      RestoreSession(world.matrix.get(), DowngradeToV1(*SaveSession(original)));
+  ASSERT_FALSE(restored.ok());
+  EXPECT_TRUE(restored.status().IsInvalidArgument());
 }
 
 TEST(SessionIoTest, TruncatedLabelListRejected) {

@@ -191,6 +191,15 @@ TEST(ExportImportTest, ImportRejectsConflictsAndGarbage) {
   auto garbage = manager.ImportSession("fresh", "not an envelope");
   EXPECT_FALSE(garbage.ok());
   EXPECT_FALSE(manager.Info("fresh").ok()) << "failed import left state";
+
+  // Only v2 envelopes parse: a v1 header is invalid input.
+  std::string v1 = *envelope;
+  v1.replace(0, std::string("viewseeker-spill v2").size(),
+             "viewseeker-spill v1");
+  auto old_version = manager.ImportSession("fresh", v1);
+  ASSERT_FALSE(old_version.ok());
+  EXPECT_TRUE(old_version.status().IsInvalidArgument());
+  EXPECT_FALSE(manager.Info("fresh").ok());
 }
 
 TEST(ExportImportTest, ExportOfUnknownSessionIsNotFound) {

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -277,7 +278,9 @@ TEST_F(ServerTest, TtlEvictionRestoresTransparently) {
   FakeClock clock;
   SessionManagerOptions manager_options;
   manager_options.session_ttl_seconds = 60.0;
-  manager_options.spill_dir = ::testing::TempDir() + "serve_http_spill";
+  manager_options.durability_dir = ::testing::TempDir() + "serve_http_durable";
+  std::filesystem::remove_all(manager_options.durability_dir);
+  manager_options.durability_fsync = false;
   manager_options.clock = &clock;
   StartStack(manager_options);
 
@@ -295,7 +298,8 @@ TEST_F(ServerTest, TtlEvictionRestoresTransparently) {
                                ",\"label\":1}")
                   .ok());
 
-  // The session ages past its TTL and the next sweep spills it.
+  // The session ages past its TTL and the next sweep snapshots it out of
+  // memory.
   clock.AdvanceSeconds(manager_options.session_ttl_seconds + 1);
   EXPECT_EQ(manager_->EvictIdleOlderThan(
                 manager_options.session_ttl_seconds),

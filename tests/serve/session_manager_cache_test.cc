@@ -3,6 +3,7 @@
 /// canonical matrix, restore is served from the cache, and per-session
 /// refinement stays isolated (COW) from other live sessions.
 
+#include <filesystem>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -101,7 +102,9 @@ TEST(SessionManagerCacheTest, LabelingOneSessionDoesNotPerturbAnother) {
 
 TEST(SessionManagerCacheTest, RestoreIsServedFromCache) {
   SessionManagerOptions options = CacheOptions();
-  options.spill_dir = ::testing::TempDir() + "serve_mgr_cache_spill";
+  options.durability_dir = ::testing::TempDir() + "serve_mgr_cache_durable";
+  std::filesystem::remove_all(options.durability_dir);
+  options.durability_fsync = false;
   SessionManager manager(options, CacheTestTablePath());
   auto info = manager.Create(Spec());
   ASSERT_TRUE(info.ok());

@@ -1,6 +1,7 @@
 #include "serve/session_manager.h"
 
 #include <atomic>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +32,16 @@ SessionManagerOptions SmallOptions() {
   SessionManagerOptions options;
   options.max_sessions = 8;
   options.session_ttl_seconds = 3600;  // tests evict explicitly
+  return options;
+}
+
+/// SmallOptions plus a fresh durability directory, which is where evicted
+/// sessions go (fsync off: unit tests trade it for speed).
+SessionManagerOptions DurableOptions(const std::string& tag) {
+  SessionManagerOptions options = SmallOptions();
+  options.durability_dir = ::testing::TempDir() + "serve_mgr_" + tag;
+  std::filesystem::remove_all(options.durability_dir);
+  options.durability_fsync = false;
   return options;
 }
 
@@ -136,9 +147,7 @@ TEST(SessionManagerTest, PreloadFailsFastOnBadTable) {
 }
 
 TEST(SessionManagerTest, EvictAndRestoreRoundTrips) {
-  SessionManagerOptions options = SmallOptions();
-  options.spill_dir = ::testing::TempDir() + "serve_mgr_spill";
-  SessionManager manager(options, TestTablePath());
+  SessionManager manager(DurableOptions("evict"), TestTablePath());
   auto info = manager.Create(SmallSpec());
   ASSERT_TRUE(info.ok());
   LabelSome(manager, info->id, 6);
@@ -169,11 +178,9 @@ TEST(SessionManagerTest, EvictAndRestoreRoundTrips) {
 
 TEST(SessionManagerTest, ConcurrentRestoresOfOneSessionAllSucceed) {
   // Many threads race to restore the same evicted session: the winner
-  // inserts it and unlinks the spill file; losers must be handed the live
-  // session rather than an IOError from the vanished file.
-  SessionManagerOptions options = SmallOptions();
-  options.spill_dir = ::testing::TempDir() + "serve_mgr_spill_race";
-  SessionManager manager(options, TestTablePath());
+  // inserts it and reopens its journal; losers must be handed the live
+  // session rather than an error or a second journal handle.
+  SessionManager manager(DurableOptions("race"), TestTablePath());
   auto info = manager.Create(SmallSpec());
   ASSERT_TRUE(info.ok());
   LabelSome(manager, info->id, 4);
@@ -194,8 +201,8 @@ TEST(SessionManagerTest, ConcurrentRestoresOfOneSessionAllSucceed) {
   }
 }
 
-TEST(SessionManagerTest, EvictWithoutSpillDirDropsForGood) {
-  SessionManager manager(SmallOptions(), TestTablePath());  // no spill_dir
+TEST(SessionManagerTest, EvictWithoutDurabilityDirDropsForGood) {
+  SessionManager manager(SmallOptions(), TestTablePath());
   auto info = manager.Create(SmallSpec());
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(manager.EvictIdleOlderThan(0.0), 1u);
@@ -203,10 +210,8 @@ TEST(SessionManagerTest, EvictWithoutSpillDirDropsForGood) {
   EXPECT_TRUE(manager.Next(info->id).status().IsNotFound());
 }
 
-TEST(SessionManagerTest, DeleteWorksOnSpilledSessions) {
-  SessionManagerOptions options = SmallOptions();
-  options.spill_dir = ::testing::TempDir() + "serve_mgr_spill2";
-  SessionManager manager(options, TestTablePath());
+TEST(SessionManagerTest, DeleteWorksOnEvictedSessions) {
+  SessionManager manager(DurableOptions("delete"), TestTablePath());
   auto info = manager.Create(SmallSpec());
   ASSERT_TRUE(info.ok());
   LabelSome(manager, info->id, 2);

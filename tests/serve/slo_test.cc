@@ -29,6 +29,11 @@ const SloEndpointSnapshot* Find(
   return nullptr;
 }
 
+/// The result points into the vector, so a temporary would leave it
+/// dangling: callers keep the snapshot in a variable.
+const SloEndpointSnapshot* Find(std::vector<SloEndpointSnapshot>&&,
+                                const std::string&) = delete;
+
 TEST(SloPercentileDefined, NeedsEnoughSamplesForTheTail) {
   EXPECT_FALSE(SloPercentileDefined(0, 0.50));
   EXPECT_TRUE(SloPercentileDefined(2, 0.50));
@@ -59,7 +64,8 @@ TEST(SloTracker, UndefinedTailIsNegativeNotMax) {
   for (int i = 0; i < 10; ++i) {
     tracker.Record("label", 0.005, /*error=*/false);
   }
-  const SloEndpointSnapshot* label = Find(tracker.Snapshot(), "label");
+  const std::vector<SloEndpointSnapshot> label_snapshots = tracker.Snapshot();
+  const SloEndpointSnapshot* label = Find(label_snapshots, "label");
   ASSERT_NE(label, nullptr);
   EXPECT_GE(label->p50_ms, 0.0);
   // 10 samples cannot support a p99 — reported undefined, not as the max.
@@ -74,7 +80,8 @@ TEST(SloTracker, OldSamplesFallOutOfTheWindow) {
   tracker.Record("next", 0.002, false);
   clock.AdvanceSeconds(11.0);
   tracker.Record("next", 0.003, false);
-  const SloEndpointSnapshot* next = Find(tracker.Snapshot(), "next");
+  const std::vector<SloEndpointSnapshot> next_snapshots = tracker.Snapshot();
+  const SloEndpointSnapshot* next = Find(next_snapshots, "next");
   ASSERT_NE(next, nullptr);
   EXPECT_EQ(next->window_samples, 1u);   // the two old samples aged out
   EXPECT_EQ(next->total_requests, 3u);   // cumulative survives the window
@@ -86,12 +93,14 @@ TEST(SloTracker, BudgetBreachesAreCumulativeBurn) {
   tracker.Record("topk", 0.005, false);  // inside budget
   tracker.Record("topk", 0.050, false);  // breach
   tracker.Record("topk", 0.200, false);  // breach
-  const SloEndpointSnapshot* topk = Find(tracker.Snapshot(), "topk");
+  const std::vector<SloEndpointSnapshot> topk_snapshots = tracker.Snapshot();
+  const SloEndpointSnapshot* topk = Find(topk_snapshots, "topk");
   ASSERT_NE(topk, nullptr);
   EXPECT_EQ(topk->budget_breaches, 2u);
   // Breaches burned long ago still count after the window empties.
   clock.AdvanceSeconds(120.0);
-  const SloEndpointSnapshot* later = Find(tracker.Snapshot(), "topk");
+  const std::vector<SloEndpointSnapshot> later_snapshots = tracker.Snapshot();
+  const SloEndpointSnapshot* later = Find(later_snapshots, "topk");
   ASSERT_NE(later, nullptr);
   EXPECT_EQ(later->window_samples, 0u);
   EXPECT_EQ(later->budget_breaches, 2u);
@@ -119,7 +128,8 @@ TEST(SloTracker, ErrorsTrackedSeparatelyFromLatency) {
   tracker.Record("label", 0.001, /*error=*/true);
   tracker.Record("label", 0.001, /*error=*/true);
   tracker.Record("label", 0.001, /*error=*/false);
-  const SloEndpointSnapshot* label = Find(tracker.Snapshot(), "label");
+  const std::vector<SloEndpointSnapshot> label_snapshots = tracker.Snapshot();
+  const SloEndpointSnapshot* label = Find(label_snapshots, "label");
   ASSERT_NE(label, nullptr);
   EXPECT_EQ(label->total_errors, 2u);
   EXPECT_NEAR(label->window_error_rate, 0.5, 1e-9);
@@ -131,7 +141,8 @@ TEST(SloTracker, WindowIsBoundedUnderDenseTraffic) {
   options.max_samples_per_endpoint = 16;
   SloTracker tracker(options);
   for (int i = 0; i < 1000; ++i) tracker.Record("next", 0.001, false);
-  const SloEndpointSnapshot* next = Find(tracker.Snapshot(), "next");
+  const std::vector<SloEndpointSnapshot> next_snapshots = tracker.Snapshot();
+  const SloEndpointSnapshot* next = Find(next_snapshots, "next");
   ASSERT_NE(next, nullptr);
   EXPECT_LE(next->window_samples, 16u);
   EXPECT_EQ(next->total_requests, 1000u);

@@ -2,20 +2,22 @@
 ///
 ///   stress --fault-seed=S [--users=M] [--duration=SECONDS] [--k=K]
 ///          [--fault-prob=P] [--max-sessions=N] [--ttl=SECONDS]
-///          [--table=F] [--spill-dir=D] [--no-faults] [--smoke]
+///          [--table=F] [--work-dir=D] [--no-faults] [--smoke]
 ///          [--plan-hits=N] [--workload=SPEC.json]
 ///
 /// Runs M closed-loop client threads over HTTP against an in-process
-/// server while a seeded FaultInjector fires faults in the spill I/O,
-/// socket, and thread-pool layers, and a chaos thread advances the
-/// session manager's injected FakeClock so TTL eviction/restore churns
-/// constantly.  When the clock runs out the faults are uninstalled and
-/// the driver verifies invariants:
+/// server while a seeded FaultInjector fires faults in the persistence
+/// (snapshot + journal + session_io), socket, and thread-pool layers, and
+/// a chaos thread advances the session manager's injected FakeClock so
+/// TTL eviction/restore churns constantly.  Sessions persist through the
+/// durability layer (fsync off) in `<work-dir>_durability`.  When the
+/// clock runs out the faults are uninstalled and the driver verifies
+/// invariants:
 ///
 ///   I1  no session is lost: every id whose creation was acknowledged and
-///       that was never deleted still resolves (restoring from spill if
-///       needed) — injected spill failures may only delay eviction, never
-///       drop state;
+///       that was never deleted still resolves (restoring from its
+///       snapshot if needed) — injected persistence failures may only
+///       delay eviction or fail a lookup, never drop state;
 ///   I2  label durability: the restored label count lies in
 ///       [labels acknowledged, labels attempted] for every session, and
 ///       /topk serves k views over them once past cold start;
@@ -31,7 +33,7 @@
 /// sessions collide on cache keys (single-flight builds, COW sharing) and
 /// the chaos thread periodically flushes the matrix cache, racing entry
 /// eviction against session restore.  fmcache.build_fail and
-/// fmcache.evict_defer are armed along with the spill/socket faults.
+/// fmcache.evict_defer are armed along with the persistence/socket faults.
 ///
 /// Exit code: 0 = all invariants hold, 1 = violation, 2 = setup error.
 ///
@@ -57,6 +59,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -132,7 +135,9 @@ struct StressConfig {
   size_t max_sessions = 12;
   double ttl_seconds = 30.0;  ///< fake-clock seconds
   std::string table;
-  std::string spill_dir;
+  /// Base path for the run's scratch files; empty = a per-process path
+  /// under /tmp, removed at exit.
+  std::string work_dir;
   bool faults_enabled = true;
   int plan_hits = 64;
   /// Compiled workload plan driving scripted traffic (null = roll mix).
@@ -373,7 +378,7 @@ void ScriptedUserLoop(const StressConfig& config, int index, int port,
 }
 
 /// Advances the session manager's fake clock and sweeps TTL eviction, so
-/// sessions constantly churn through spill + transparent restore.
+/// sessions constantly churn through eviction + transparent restore.
 void ChaosLoop(const StressConfig& config, FakeClock& clock,
                serve::SessionManager& manager,
                const std::atomic<bool>& stop, uint64_t* sweeps) {
@@ -382,7 +387,7 @@ void ChaosLoop(const StressConfig& config, FakeClock& clock,
     clock.AdvanceSeconds(config.ttl_seconds / 2.0);
     // Hot sessions are touched far more often than the TTL ticks over, so
     // a plain sweep only ever catches abandoned ones.  Every 8th sweep
-    // evicts *everything* — busy sessions get spilled mid-conversation and
+    // evicts *everything* — busy sessions get evicted mid-conversation and
     // the owner's next request exercises the restore path (and its fault
     // points) under concurrency.
     const bool flush_all = (*sweeps % 8) == 7;
@@ -400,10 +405,9 @@ void ChaosLoop(const StressConfig& config, FakeClock& clock,
 /// The points the stress run arms, with their relative intensities.
 std::vector<std::pair<std::string, double>> FaultPlan(double p) {
   return {
-      {"session.spill_enospc", p},
-      {"session.spill_short_write", p},
-      {"session.spill_read", p},
-      {"session.spill_corrupt", p},
+      {"snapshot.rename_fail", p},
+      {"snapshot.read_fail", p},
+      {"wal.append_fail", p / 2},
       {"session_io.save", p / 2},
       {"session_io.restore", p / 2},
       {"http.recv_eagain", p},
@@ -450,7 +454,7 @@ struct Verifier {
 };
 
 /// Resolves a session that may need a restore slot: on ResourceExhausted
-/// the live table is flushed to spill (clock jump + sweep) and the lookup
+/// the live table is evicted to disk (clock jump + sweep) and the lookup
 /// retried, so verification never trips over the session cap.
 vs::Result<serve::SessionInfo> InfoWithEvictRetry(
     serve::SessionManager& manager, FakeClock& clock, double ttl,
@@ -484,7 +488,7 @@ int main(int argc, char** argv) {
       args.GetInt("max-sessions", static_cast<int64_t>(config.max_sessions)));
   config.ttl_seconds = args.GetDouble("ttl", config.ttl_seconds);
   config.table = args.Get("table");
-  config.spill_dir = args.Get("spill-dir");
+  config.work_dir = args.Get("work-dir");
   config.faults_enabled = !args.Has("no-faults");
   config.plan_hits =
       static_cast<int>(args.GetInt("plan-hits", config.plan_hits));
@@ -492,7 +496,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: stress --fault-seed=S [--users=M] [--duration=S]"
                  " [--k=K] [--fault-prob=P] [--max-sessions=N]"
-                 " [--ttl=S] [--table=F] [--spill-dir=D] [--no-faults]"
+                 " [--ttl=S] [--table=F] [--work-dir=D] [--no-faults]"
                  " [--smoke] [--plan-hits=N] [--workload=SPEC.json]\n");
     return 2;
   }
@@ -524,9 +528,9 @@ int main(int argc, char** argv) {
   }
 
   const std::string work_dir =
-      config.spill_dir.empty() ? "/tmp/vs_stress_" +
-                                     std::to_string(::getpid())
-                               : config.spill_dir;
+      config.work_dir.empty()
+          ? "/tmp/vs_stress_" + std::to_string(::getpid())
+          : config.work_dir;
   std::string table_path = config.table;
   if (table_path.empty()) {
     data::DiabetesOptions table_options;
@@ -551,7 +555,8 @@ int main(int argc, char** argv) {
   serve::SessionManagerOptions manager_options;
   manager_options.max_sessions = config.max_sessions;
   manager_options.session_ttl_seconds = config.ttl_seconds;
-  manager_options.spill_dir = work_dir + "_spill";
+  manager_options.durability_dir = work_dir + "_durability";
+  manager_options.durability_fsync = false;
   manager_options.clock = &session_clock;
   serve::SessionManager manager(manager_options, table_path);
   if (const auto status = manager.PreloadDefaultTable(); !status.ok()) {
@@ -617,9 +622,9 @@ int main(int argc, char** argv) {
   }  // faults uninstalled here: verification runs fault-free
 
   // ---- verification --------------------------------------------------
-  // Spill every surviving session first: the per-record checks below then
+  // Evict every surviving session first: the per-record checks below then
   // read state back through a full restore from disk, so label durability
-  // is verified against the spill files, not warm memory.
+  // is verified against the snapshots and journals, not warm memory.
   session_clock.AdvanceSeconds(config.ttl_seconds * 2);
   manager.EvictIdleOlderThan(0.0);
 
@@ -738,6 +743,10 @@ int main(int argc, char** argv) {
                          static_cast<unsigned long long>(cache.entries)));
 
   server.Stop();
+  if (config.work_dir.empty()) {
+    std::filesystem::remove_all(manager_options.durability_dir);
+    if (config.table.empty()) std::filesystem::remove(table_path);
+  }
 
   // ---- report --------------------------------------------------------
   const double elapsed = wall.ElapsedSeconds();
