@@ -376,11 +376,10 @@ Comparison CompareGroupBy(const std::string& name,
                           const vs::data::Table& table,
                           const vs::data::GroupBySpec& spec,
                           const vs::data::SelectionVector* selection,
-                          int repeats, int32_t kernel_dense_bins_max) {
+                          int repeats) {
   vs::data::GroupByExecutorOptions scalar_options;
   scalar_options.use_kernel = false;
-  vs::data::GroupByExecutorOptions kernel_options;
-  kernel_options.dense_bins_max = kernel_dense_bins_max;
+  const vs::data::GroupByExecutorOptions kernel_options{};
 
   // Each repeat scans a table with an empty grid memo.  Its numeric range
   // is filled before the clock (an empty selection fills only the range),
@@ -430,19 +429,15 @@ int RunKernelGate(int argc, char** argv) {
   comparisons.push_back(CompareGroupBy(
       "groupby_cat_dense",
       table, {"g1", "m0", vs::data::AggregateFunction::kAvg, 0}, nullptr,
-      config.repeats, 1 << 14));
-  comparisons.push_back(CompareGroupBy(
-      "groupby_cat_hash",
-      table, {"g2", "m1", vs::data::AggregateFunction::kSum, 0}, nullptr,
-      config.repeats, /*kernel_dense_bins_max=*/16));
+      config.repeats));
   comparisons.push_back(CompareGroupBy(
       "groupby_numeric_binned",
       table, {"d0", "m2", vs::data::AggregateFunction::kAvg, 32}, nullptr,
-      config.repeats, 1 << 14));
+      config.repeats));
   comparisons.push_back(CompareGroupBy(
       "groupby_selection",
       table, {"g0", "m3", vs::data::AggregateFunction::kMax, 0}, &query,
-      config.repeats, 1 << 14));
+      config.repeats));
 
   // Numeric range discovery: each repeat runs on a table whose memo is
   // empty, over an empty selection, so the full-column range scan is

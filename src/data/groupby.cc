@@ -392,10 +392,6 @@ vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatchKernel(
     kernel_bins_ptr = &kernel_bins;
   }
 
-  GroupByKernelOptions kernel_options;
-  kernel_options.dense_bins_max = options_.dense_bins_max;
-  kernel_options.num_threads = options_.kernel_threads;
-
   // Full-table grids come from the table memo when present; the kernel
   // scans only for the measures still missing.  Each measure's grid is
   // accumulated independently of the others in the pass, so a grid filled
@@ -406,9 +402,6 @@ vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatchKernel(
     key.dimension = specs[0].dimension;
     key.num_bins = num_bins;
     key.measure = measures[m];
-    key.kernel_threads =
-        options_.kernel_threads <= 1 ? 1 : options_.kernel_threads;
-    key.dense = num_bins <= options_.dense_bins_max;
     return key;
   };
   std::vector<std::shared_ptr<const KernelGrid>> grids(measures.size());
@@ -424,8 +417,7 @@ vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatchKernel(
     VS_ASSIGN_OR_RETURN(
         std::vector<KernelGrid> fresh,
         GroupByKernelRun(dim_col.get(), kernel_bins_ptr, num_bins,
-                         scan_cols, selection, table_->num_rows(),
-                         kernel_options));
+                         scan_cols, selection, table_->num_rows()));
     for (size_t k = 0; k < missing.size(); ++k) {
       auto grid = std::make_shared<const KernelGrid>(std::move(fresh[k]));
       grids[missing[k]] =

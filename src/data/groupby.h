@@ -63,12 +63,9 @@ struct GroupByExecutorOptions {
   /// Route Execute/ExecuteBatch through the typed aggregation kernel
   /// (data/groupby_kernel.h).  false keeps the original scalar fold — the
   /// reference oracle the differential kernel-equivalence tests compare
-  /// against.  Serial kernel runs are bit-identical to the oracle.
+  /// against.  Kernel runs without lane replication are bit-identical
+  /// to the oracle.
   bool use_kernel = true;
-  /// Dense-grid / hash-table crossover, forwarded to the kernel.
-  int32_t dense_bins_max = 1 << 14;
-  /// Kernel partial-aggregate workers; 0 or 1 = serial.
-  size_t kernel_threads = 0;
 };
 
 /// \brief Executes GroupBySpecs against one table, with bin definitions

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
-#include <thread>
 
 #include "testing/fault_injection.h"
 
@@ -18,14 +16,11 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// while amortizing the per-measure dispatch branch over the block.
 constexpr size_t kBlockRows = 4096;
 
-/// Below this many rows per worker, extra threads only add merge cost.
-constexpr size_t kMinRowsPerWorker = 16 * 1024;
-
 /// Accumulator replication factor.  Low-cardinality dimensions funnel most
 /// rows into a handful of popular bins, so a single grid serializes on the
 /// floating-point add latency of the hot bin (`sums[b] += v` is a
 /// loop-carried dependency).  Four independent lanes (row i feeds lane
-/// i mod 4) turn that chain into four, merged once per range in fixed lane
+/// i mod 4) turn that chain into four, merged once per pass in fixed lane
 /// order.  Counts/mins/maxs are unchanged by the split (integer adds and
 /// min/max are associative); sums/sumsqs are reassociated, which is why
 /// the kernel contract promises them within tolerance, not bit-identity.
@@ -54,25 +49,6 @@ void KernelGrid::Reset(size_t num_bins) {
   maxs.assign(num_bins, -kInf);
 }
 
-size_t KernelGrid::AppendSlot() {
-  counts.push_back(0);
-  sums.push_back(0.0);
-  sumsqs.push_back(0.0);
-  mins.push_back(kInf);
-  maxs.push_back(-kInf);
-  return counts.size() - 1;
-}
-
-void KernelGrid::MergeFrom(const KernelGrid& other) {
-  for (size_t b = 0; b < counts.size(); ++b) {
-    counts[b] += other.counts[b];
-    sums[b] += other.sums[b];
-    sumsqs[b] += other.sumsqs[b];
-    if (other.mins[b] < mins[b]) mins[b] = other.mins[b];
-    if (other.maxs[b] > maxs[b]) maxs[b] = other.maxs[b];
-  }
-}
-
 namespace {
 
 /// One measure column, resolved to its concrete type once per call.
@@ -86,15 +62,12 @@ struct TypedMeasure {
 // Stage 1: decode the dimension of one block into bin indices (-1 = skip).
 // ---------------------------------------------------------------------------
 
-void StageCategorical(const int32_t* codes, uint32_t base,
-                      const uint32_t* rows, size_t n, int32_t* bins) {
+/// Gathers the codes of the selected \p rows (contiguous scans read the
+/// code array in place; see Accumulate).
+void StageCategorical(const int32_t* codes, const uint32_t* rows, size_t n,
+                      int32_t* bins) {
   // kNullCode is -1, the kernel's skip sentinel — codes pass through.
-  if (rows == nullptr) {
-    const int32_t* src = codes + base;
-    for (size_t i = 0; i < n; ++i) bins[i] = src[i];
-  } else {
-    for (size_t i = 0; i < n; ++i) bins[i] = codes[rows[i]];
-  }
+  for (size_t i = 0; i < n; ++i) bins[i] = codes[rows[i]];
 }
 
 template <typename ColT, bool kHasNulls, bool kContig>
@@ -122,9 +95,8 @@ void StageNumeric(const ColT* col, const KernelBinDef& def, int32_t nb,
 }
 
 // ---------------------------------------------------------------------------
-// Stage 2: fold one measure over a staged block into an SoA grid.  The
-// same loop serves the dense path (bins index the full grid) and the hash
-// path (bins have been translated to compact slots).
+// Stage 2: fold one measure over a staged block into an SoA grid indexed
+// by bin.
 // ---------------------------------------------------------------------------
 
 /// Raw accumulator pointers of one lane grid — keeps the hot loop free of
@@ -213,93 +185,14 @@ void AccumulateMeasure(const TypedMeasure& measure, const int32_t* bins,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Hash grouping: FNV-1a open-addressing map from bin id to compact slot.
-// ---------------------------------------------------------------------------
-
-uint64_t Fnv1aBin(int32_t bin) {
-  uint64_t h = 1469598103934665603ULL;
-  auto v = static_cast<uint32_t>(bin);
-  for (int i = 0; i < 4; ++i) {
-    h ^= (v >> (8 * i)) & 0xffU;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// Maps bin ids to dense slot indices; slots are appended to every
-/// measure's compact grid on first sight of a bin.
-class BinSlotTable {
- public:
-  explicit BinSlotTable(std::vector<KernelGrid>* grids) : grids_(grids) {
-    table_.assign(kInitialBuckets, -1);
-  }
-
-  int32_t SlotFor(int32_t bin) {
-    size_t idx = Fnv1aBin(bin) & (table_.size() - 1);
-    while (true) {
-      const int32_t slot = table_[idx];
-      if (slot < 0) return Insert(idx, bin);
-      if (slot_bins_[static_cast<size_t>(slot)] == bin) return slot;
-      idx = (idx + 1) & (table_.size() - 1);
-    }
-  }
-
-  const std::vector<int32_t>& slot_bins() const { return slot_bins_; }
-
- private:
-  static constexpr size_t kInitialBuckets = 1024;
-
-  int32_t Insert(size_t idx, int32_t bin) {
-    const auto slot = static_cast<int32_t>(slot_bins_.size());
-    slot_bins_.push_back(bin);
-    for (KernelGrid& grid : *grids_) grid.AppendSlot();
-    table_[idx] = slot;
-    // Grow at 70% load so probe chains stay short.
-    if (slot_bins_.size() * 10 > table_.size() * 7) Rehash();
-    return slot;
-  }
-
-  void Rehash() {
-    std::vector<int32_t> grown(table_.size() * 2, -1);
-    for (size_t s = 0; s < slot_bins_.size(); ++s) {
-      size_t idx = Fnv1aBin(slot_bins_[s]) & (grown.size() - 1);
-      while (grown[idx] >= 0) idx = (idx + 1) & (grown.size() - 1);
-      grown[idx] = static_cast<int32_t>(s);
-    }
-    table_ = std::move(grown);
-  }
-
-  std::vector<int32_t> table_;      ///< bucket -> slot index, -1 empty
-  std::vector<int32_t> slot_bins_;  ///< slot -> bin id
-  std::vector<KernelGrid>* grids_;  ///< compact per-measure accumulators
-};
-
-// ---------------------------------------------------------------------------
-// Per-range partial aggregation.
-// ---------------------------------------------------------------------------
-
-/// One worker's private accumulation state.  Dense mode: full-size grids.
-/// Hash mode: a slot table plus compact grids sized by distinct bins seen.
-/// When lane replication is on (dense, small bin count), grids[m] is a
-/// *wide* grid of lane_stride * kAccumLanes slots; ReduceLanes folds it
-/// back to lane_stride slots before any downstream merge.
-struct Partial {
-  std::vector<KernelGrid> grids;
-  size_t lane_stride = 0;               ///< 0 = single-lane accumulation
-  std::unique_ptr<BinSlotTable> slots;  // null = dense mode
-};
-
-/// Folds the replicated lane segments of each wide grid back into segment
-/// 0, in fixed lane order so the result is deterministic, then truncates
-/// the grid to its final bin count.
-void ReduceLanes(Partial& partial) {
-  if (partial.lane_stride == 0) return;
-  const size_t nb = partial.lane_stride;
-  for (KernelGrid& g : partial.grids) {
+/// Folds the replicated lane segments of each wide grid (\p num_bins x
+/// kAccumLanes slots) back into segment 0, in fixed lane order so the
+/// result is deterministic, then truncates the grid to \p num_bins.
+void ReduceLanes(std::vector<KernelGrid>& grids, size_t num_bins) {
+  for (KernelGrid& g : grids) {
     for (size_t l = 1; l < kAccumLanes; ++l) {
-      const size_t off = l * nb;
-      for (size_t b = 0; b < nb; ++b) {
+      const size_t off = l * num_bins;
+      for (size_t b = 0; b < num_bins; ++b) {
         g.counts[b] += g.counts[off + b];
         g.sums[b] += g.sums[off + b];
         g.sumsqs[b] += g.sumsqs[off + b];
@@ -307,16 +200,15 @@ void ReduceLanes(Partial& partial) {
         if (g.maxs[off + b] > g.maxs[b]) g.maxs[b] = g.maxs[off + b];
       }
     }
-    g.counts.resize(nb);
-    g.sums.resize(nb);
-    g.sumsqs.resize(nb);
-    g.mins.resize(nb);
-    g.maxs.resize(nb);
+    g.counts.resize(num_bins);
+    g.sums.resize(num_bins);
+    g.sumsqs.resize(num_bins);
+    g.mins.resize(num_bins);
+    g.maxs.resize(num_bins);
   }
-  partial.lane_stride = 0;
 }
 
-/// Everything the block loop needs, shared (read-only) by all workers.
+/// Everything the block loop needs, resolved once per call.
 struct KernelInput {
   const CategoricalColumn* cat_dim = nullptr;
   const Int64Column* i64_dim = nullptr;
@@ -331,7 +223,7 @@ struct KernelInput {
 void StageDimension(const KernelInput& in, uint32_t base,
                     const uint32_t* rows, size_t n, int32_t* bins) {
   if (in.cat_dim != nullptr) {
-    StageCategorical(in.cat_dim->codes().data(), base, rows, n, bins);
+    StageCategorical(in.cat_dim->codes().data(), rows, n, bins);
   } else if (in.i64_dim != nullptr) {
     if (rows == nullptr) {
       if (in.dim_has_nulls) {
@@ -379,37 +271,29 @@ void StageDimension(const KernelInput& in, uint32_t base,
   }
 }
 
-/// Aggregates the domain positions [begin, end) — row ids when scanning
-/// the whole table, selection indices otherwise — into \p partial.
-void ProcessRange(const KernelInput& in, size_t begin, size_t end,
-                  Partial& partial) {
+/// Aggregates the domain positions [0, domain) — row ids when scanning
+/// the whole table, selection indices otherwise — into \p grids.  With
+/// \p stride != 0 each grid is a wide grid of \p stride x kAccumLanes
+/// slots (lane l of bin b at b + l * stride).
+void Accumulate(const KernelInput& in, size_t domain, size_t stride,
+                std::vector<KernelGrid>& grids) {
   int32_t bins[kBlockRows];
-  int32_t slot_ids[kBlockRows];
-  const size_t stride = partial.lane_stride;
-  // Contiguous categorical scans on the dense path read the code array
-  // directly — codes already are bin indices (kNullCode = -1 = skip), so
-  // the staging copy would be pure overhead.
-  const bool direct_codes =
-      in.cat_dim != nullptr && in.sel == nullptr && partial.slots == nullptr;
-  for (size_t at = begin; at < end; at += kBlockRows) {
-    const size_t n = std::min(kBlockRows, end - at);
+  // Contiguous categorical scans read the code array directly — codes
+  // already are bin indices (kNullCode = -1 = skip), so the staging copy
+  // would be pure overhead.
+  const bool direct_codes = in.cat_dim != nullptr && in.sel == nullptr;
+  for (size_t at = 0; at < domain; at += kBlockRows) {
+    const size_t n = std::min(kBlockRows, domain - at);
     const auto base = static_cast<uint32_t>(at);
     const uint32_t* rows = in.sel == nullptr ? nullptr : in.sel + at;
-    const int32_t* indices;
+    const int32_t* indices = bins;
     if (direct_codes) {
       indices = in.cat_dim->codes().data() + at;
     } else {
       StageDimension(in, base, rows, n, bins);
-      indices = bins;
-      if (partial.slots != nullptr) {
-        for (size_t i = 0; i < n; ++i) {
-          slot_ids[i] = bins[i] < 0 ? -1 : partial.slots->SlotFor(bins[i]);
-        }
-        indices = slot_ids;
-      }
     }
     for (size_t m = 0; m < in.measures.size(); ++m) {
-      const LanePtrs grid = PtrsOf(partial.grids[m]);
+      const LanePtrs grid = PtrsOf(grids[m]);
       if (rows == nullptr) {
         if (stride != 0) {
           AccumulateMeasure<true, kAccumLanes>(in.measures[m], indices, base,
@@ -429,24 +313,6 @@ void ProcessRange(const KernelInput& in, size_t begin, size_t end,
       }
     }
   }
-  ReduceLanes(partial);
-}
-
-/// Scatters a compact hash partial into the final dense grids.
-void MergeCompact(const Partial& partial, std::vector<KernelGrid>& merged) {
-  const std::vector<int32_t>& slot_bins = partial.slots->slot_bins();
-  for (size_t m = 0; m < merged.size(); ++m) {
-    const KernelGrid& compact = partial.grids[m];
-    KernelGrid& out = merged[m];
-    for (size_t s = 0; s < slot_bins.size(); ++s) {
-      const auto b = static_cast<size_t>(slot_bins[s]);
-      out.counts[b] += compact.counts[s];
-      out.sums[b] += compact.sums[s];
-      out.sumsqs[b] += compact.sumsqs[s];
-      if (compact.mins[s] < out.mins[b]) out.mins[b] = compact.mins[s];
-      if (compact.maxs[s] > out.maxs[b]) out.maxs[b] = compact.maxs[s];
-    }
-  }
 }
 
 }  // namespace
@@ -454,8 +320,7 @@ void MergeCompact(const Partial& partial, std::vector<KernelGrid>& merged) {
 vs::Result<std::vector<KernelGrid>> GroupByKernelRun(
     const Column* dimension, const KernelBinDef* numeric_bins,
     int32_t num_bins, const std::vector<const Column*>& measures,
-    const SelectionVector* selection, size_t table_rows,
-    const GroupByKernelOptions& options) {
+    const SelectionVector* selection, size_t table_rows) {
   if (num_bins < 0) {
     return vs::Status::InvalidArgument("kernel: negative bin count");
   }
@@ -501,86 +366,16 @@ vs::Result<std::vector<KernelGrid>> GroupByKernelRun(
   }
   const size_t domain = selection != nullptr ? selection->size() : table_rows;
 
-  const bool dense = num_bins <= options.dense_bins_max;
-  std::vector<KernelGrid> merged(measures.size());
-  for (KernelGrid& grid : merged) grid.Reset(static_cast<size_t>(num_bins));
-
-  size_t workers = options.num_threads <= 1 ? 1 : options.num_threads;
-  if (workers > 1) {
-    // Don't split below the merge break-even point; the count stays a pure
-    // function of (domain, options) so results are reproducible.
-    workers = std::min(workers, std::max<size_t>(1, domain / kMinRowsPerWorker));
+  const auto nb = static_cast<size_t>(num_bins);
+  const bool lanes = num_bins <= kLaneMaxBins && domain >= kLaneMinRows;
+  std::vector<KernelGrid> grids(measures.size());
+  for (KernelGrid& grid : grids) grid.Reset(lanes ? nb * kAccumLanes : nb);
+  Accumulate(in, domain, lanes ? nb : 0, grids);
+  if (lanes) ReduceLanes(grids, nb);
+  if (VS_FAULT("kernel.run_fail")) {
+    return vs::Status::Internal("injected failure in the group-by kernel");
   }
-
-  const bool lanes =
-      dense && num_bins <= kLaneMaxBins && domain >= kLaneMinRows;
-  auto make_partial = [&](bool owns_grid) {
-    Partial partial;
-    if (dense) {
-      partial.grids.resize(measures.size());
-      if (lanes) {
-        partial.lane_stride = static_cast<size_t>(num_bins);
-        for (KernelGrid& grid : partial.grids) {
-          grid.Reset(static_cast<size_t>(num_bins) * kAccumLanes);
-        }
-      } else if (owns_grid) {
-        for (KernelGrid& grid : partial.grids) {
-          grid.Reset(static_cast<size_t>(num_bins));
-        }
-      }
-    } else {
-      partial.grids.resize(measures.size());
-      partial.slots = std::make_unique<BinSlotTable>(&partial.grids);
-    }
-    return partial;
-  };
-
-  if (workers == 1) {
-    Partial partial = make_partial(/*owns_grid=*/false);
-    if (dense && !lanes) partial.grids = std::move(merged);
-    ProcessRange(in, 0, domain, partial);
-    if (VS_FAULT("kernel.partial_merge_fail")) {
-      return vs::Status::Internal(
-          "injected failure merging group-by partial aggregates");
-    }
-    if (dense) return std::move(partial.grids);
-    MergeCompact(partial, merged);
-    return merged;
-  }
-
-  // Contiguous range per worker, merged in range order below: for a fixed
-  // worker count the result is deterministic regardless of scheduling.
-  std::vector<Partial> partials;
-  partials.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    partials.push_back(make_partial(/*owns_grid=*/true));
-  }
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  const size_t per_worker = (domain + workers - 1) / workers;
-  for (size_t w = 0; w < workers; ++w) {
-    const size_t begin = w * per_worker;
-    const size_t end = std::min(domain, begin + per_worker);
-    if (begin >= end) break;
-    threads.emplace_back(
-        [&in, &partials, w, begin, end] { ProcessRange(in, begin, end, partials[w]); });
-  }
-  for (std::thread& thread : threads) thread.join();
-
-  if (VS_FAULT("kernel.partial_merge_fail")) {
-    return vs::Status::Internal(
-        "injected failure merging group-by partial aggregates");
-  }
-  for (const Partial& partial : partials) {
-    if (partial.slots != nullptr) {
-      MergeCompact(partial, merged);
-    } else {
-      for (size_t m = 0; m < merged.size(); ++m) {
-        merged[m].MergeFrom(partial.grids[m]);
-      }
-    }
-  }
-  return merged;
+  return grids;
 }
 
 namespace {

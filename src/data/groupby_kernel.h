@@ -2,8 +2,8 @@
 #define VS_DATA_GROUPBY_KERNEL_H_
 
 /// \file groupby_kernel.h
-/// \brief Typed, hash-based grouped-aggregation kernel — the fast path
-/// behind GroupByExecutor.
+/// \brief Typed grouped-aggregation kernel — the fast path behind
+/// GroupByExecutor.
 ///
 /// The generic executor path folds rows through a `std::function` bin
 /// decoder and a per-row NumericColumnView type branch; at millions of
@@ -15,33 +15,21 @@
 ///      codes pass through; numeric values are equi-width binned with the
 ///      exact same `(v - lo) / width` arithmetic as the scalar path, so
 ///      bin assignment is bit-identical);
-///   2. for each measure, fold the block into structure-of-arrays
-///      accumulators (counts / sums / sumsqs / mins / maxs).
+///   2. for each measure, fold the block into a dense structure-of-arrays
+///      grid (counts / sums / sumsqs / mins / maxs) indexed by bin.
 ///
-/// Grouping storage is picked per call:
-///   - *dense*: one direct-indexed SoA grid when the bin count is at most
-///     GroupByKernelOptions::dense_bins_max — the common case (dictionary
-///     dimensions, small equi-width binnings);
-///   - *hash*: an FNV-1a open-addressing table mapping bin -> compact slot
-///     otherwise, so a high-cardinality dimension scanned through a small
-///     selection touches memory proportional to the *distinct* bins seen,
-///     not the bin space.
-///
-/// On the small-bin dense path — once the scan is long enough to amortize
-/// the wider grids — the accumulators are replicated into four lanes (row
-/// i feeds lane i mod 4, merged in fixed lane order) so that a
-/// zipf-popular bin carries four independent floating-point dependency
-/// chains instead of serializing on add latency.  With num_threads > 1
-/// the row domain is additionally split into contiguous ranges, each
-/// aggregated into a private partial (its own grids or hash table), and
-/// the partials are merged in range order — deterministic for a fixed
-/// thread count regardless of scheduling.
+/// One serial pass over the selection (or the whole table) fills every
+/// grid.  With at most 256 bins and a long enough scan the accumulators
+/// are replicated into four lanes (row i feeds lane i mod 4, merged in
+/// fixed lane order) so that a zipf-popular bin carries four independent
+/// floating-point dependency chains instead of serializing on add latency.
 ///
 /// Equivalence contract vs the scalar oracle: bin assignment, counts,
-/// mins and maxs are *exact* (integer adds and min/max are associative);
-/// sums and sumsqs are reassociated by lane/partial merging and agree
-/// within accumulation tolerance.  The merge step carries the
-/// `kernel.partial_merge_fail` fault point (docs/TESTING.md).
+/// mins and maxs are *exact* (integer adds and min/max are associative).
+/// Without lanes each bin sums in row order, so sums and sumsqs are
+/// bit-identical too; lane merging reassociates them, and they then agree
+/// within accumulation tolerance.  The end of the pass carries the
+/// `kernel.run_fail` fault point (docs/TESTING.md).
 
 #include <cstdint>
 #include <utility>
@@ -62,7 +50,7 @@ struct KernelBinDef {
 };
 
 /// \brief Structure-of-arrays accumulator grid for one measure: one slot
-/// per bin (or per compact hash slot while partials are being built).
+/// per bin.
 ///
 /// Finalization semantics match AggregateAccumulator: empty bins have
 /// count 0, sum/sumsq 0 and +-inf min/max, and finalize to 0 for every
@@ -77,25 +65,7 @@ struct KernelGrid {
   /// Resizes to \p num_bins empty slots.
   void Reset(size_t num_bins);
 
-  /// Appends one empty slot; returns its index.
-  size_t AppendSlot();
-
-  /// Folds \p other slot-for-slot into this grid (equal sizes required).
-  void MergeFrom(const KernelGrid& other);
-
   size_t size() const { return counts.size(); }
-};
-
-/// \brief Tuning knobs; the defaults are what GroupByExecutor passes.
-struct GroupByKernelOptions {
-  /// Bin counts at or below this use the dense direct-indexed grid; above
-  /// it, the FNV open-addressing table.  Tests lower it to force the hash
-  /// path onto small inputs.
-  int32_t dense_bins_max = 1 << 14;
-  /// Partial-aggregate workers; 0 or 1 runs serially (bit-identical to
-  /// the scalar oracle).  More workers split the row domain into
-  /// contiguous per-worker partials merged in range order.
-  size_t num_threads = 0;
 };
 
 /// Runs the typed aggregation kernel: groups the rows of \p selection
@@ -110,8 +80,7 @@ struct GroupByKernelOptions {
 vs::Result<std::vector<KernelGrid>> GroupByKernelRun(
     const Column* dimension, const KernelBinDef* numeric_bins,
     int32_t num_bins, const std::vector<const Column*>& measures,
-    const SelectionVector* selection, size_t table_rows,
-    const GroupByKernelOptions& options);
+    const SelectionVector* selection, size_t table_rows);
 
 /// Typed min/max scan over the non-null values of a numeric (int64 or
 /// double) column — the kernel-side replacement for the executor's

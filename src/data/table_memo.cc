@@ -48,9 +48,8 @@ void AddMemoBytes(int64_t delta) {
 }  // namespace
 
 bool FullTableGridKey::operator<(const FullTableGridKey& other) const {
-  return std::tie(dimension, num_bins, measure, kernel_threads, dense) <
-         std::tie(other.dimension, other.num_bins, other.measure,
-                  other.kernel_threads, other.dense);
+  return std::tie(dimension, num_bins, measure) <
+         std::tie(other.dimension, other.num_bins, other.measure);
 }
 
 TableMemo::~TableMemo() {

@@ -31,19 +31,17 @@ namespace vs::data {
 
 struct KernelGrid;
 
-/// \brief Identity of one memoized full-table grid.
+/// \brief Identity of one memoized full-table grid: the view's
+/// (dimension, bin count, measure).
 ///
-/// Besides the view's (dimension, bin count, measure) it carries the two
-/// executor settings that decide how the kernel associates floating-point
-/// sums: the worker count and the dense/hash grouping choice.  A grid
-/// served from the memo is therefore bit-identical to what the asking
-/// executor computes uncached.
+/// The kernel's accumulation order depends only on the bin count and the
+/// number of rows scanned, both fixed by the key and the table, so a grid
+/// served from the memo is bit-identical to what any kernel executor
+/// computes uncached.
 struct FullTableGridKey {
   std::string dimension;
   int32_t num_bins = 0;
   std::string measure;
-  size_t kernel_threads = 1;  ///< 0 and 1 both mean serial; stored as 1
-  bool dense = true;          ///< num_bins <= dense_bins_max
 
   bool operator<(const FullTableGridKey& other) const;
 };

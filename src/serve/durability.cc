@@ -493,18 +493,6 @@ void DurabilityManager::Quarantine(const std::string& id) {
   DurMetrics::Get().quarantined->Increment();
 }
 
-void DurabilityManager::QuarantineWal(const std::string& id) {
-  const std::string qdir = options_.dir + "/quarantine";
-  std::error_code ec;
-  std::filesystem::create_directories(qdir, ec);
-  const std::string target = qdir + "/" + id + ".wal";
-  if (::rename(WalPath(id).c_str(), target.c_str()) != 0) {
-    ::unlink(WalPath(id).c_str());  // last resort: never re-scan a bad file
-  }
-  counters_.quarantined.fetch_add(1, std::memory_order_relaxed);
-  DurMetrics::Get().quarantined->Increment();
-}
-
 void DurabilityManager::CountReplayedLabels(uint64_t n) {
   if (n == 0) return;
   counters_.replayed_labels.fetch_add(n, std::memory_order_relaxed);
@@ -516,8 +504,16 @@ void DurabilityManager::CountRecoveredSession() {
   DurMetrics::Get().recovered_sessions->Increment();
 }
 
-vs::Result<std::vector<RecoveredSession>>
-DurabilityManager::ScanForRecovery() {
+vs::Result<WalScan> DurabilityManager::ReadWal(const std::string& id) {
+  VS_ASSIGN_OR_RETURN(WalScan scan, ReadWalFile(WalPath(id)));
+  if (scan.torn_tail) {
+    counters_.torn_tails.fetch_add(1, std::memory_order_relaxed);
+    DurMetrics::Get().torn_tails->Increment();
+  }
+  return scan;
+}
+
+vs::Result<std::vector<std::string>> DurabilityManager::ScanForRecovery() {
   namespace fs = std::filesystem;
   std::error_code ec;
   fs::directory_iterator it(options_.dir, ec);
@@ -553,32 +549,7 @@ DurabilityManager::ScanForRecovery() {
     }
   }
 
-  std::vector<RecoveredSession> out;
-  out.reserve(snap_ids.size());
-  for (const std::string& id : snap_ids) {
-    vs::Result<std::string> text = ReadFileFully(SnapshotPath(id));
-    if (!text.ok()) {
-      Quarantine(id);
-      continue;
-    }
-    RecoveredSession session;
-    session.id = id;
-    session.snapshot_text = std::move(*text);
-    vs::Result<WalScan> scan = ReadWalFile(WalPath(id));
-    if (scan.ok()) {
-      session.wal = std::move(*scan);
-    } else {
-      // Snapshot is intact; only the journal is unreadable.  Move the
-      // journal aside and recover the snapshot state.
-      QuarantineWal(id);
-    }
-    if (session.wal.torn_tail) {
-      counters_.torn_tails.fetch_add(1, std::memory_order_relaxed);
-      DurMetrics::Get().torn_tails->Increment();
-    }
-    out.push_back(std::move(session));
-  }
-  return out;
+  return snap_ids;
 }
 
 DurabilityStats DurabilityManager::stats() const {

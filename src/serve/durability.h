@@ -31,15 +31,14 @@
 /// pair of files it would recover from after a crash.  Recovery loads the
 /// newest valid snapshot and replays the journal tail over it.
 ///
-/// Quarantine (`quarantine/`) differs between boot and restore.  The
-/// startup scan (ScanForRecovery) moves aside every snapshot it cannot
-/// read, a transient read error included, so one bad file never fails
-/// boot; that session then answers NotFound.  A restore of an evicted or
-/// recovered id (SessionManager::Restore) quarantines only permanent
-/// failures — bytes that fail validation, a saved view the table lacks, a
-/// missing snapshot — and fails the lookup without touching the files on
-/// a transient one (read error, injected fault, resource limit), so the
-/// next lookup retries.
+/// The startup scan (ScanForRecovery) only lists ids: it reads no
+/// snapshot or journal, so one bad file never fails boot.  Every read
+/// happens in the restore of an evicted or recovered id
+/// (SessionManager::Restore), which quarantines (`quarantine/`) only
+/// permanent failures — bytes that fail validation, a saved view the table
+/// lacks, a missing snapshot — and fails the lookup without touching the
+/// files on a transient one (read error, injected fault, resource limit),
+/// so the next lookup retries.
 ///
 /// Failure handling in the journal: a failed append is rolled back with
 /// ftruncate to the last durable offset; a failed fsync poisons the
@@ -187,13 +186,6 @@ class WalWriter {
   internal::DurabilityCounters* counters_ = nullptr;
 };
 
-/// One session found on disk by the recovery scan.
-struct RecoveredSession {
-  std::string id;
-  std::string snapshot_text;  ///< envelope + session_io payload
-  WalScan wal;                ///< journal tail to replay over it
-};
-
 /// \brief Owns the durability directory: snapshot writes, journal
 /// handles, the startup recovery scan, and quarantine.  Thread-safe (all
 /// mutable state is atomic; file operations are per-session and the
@@ -219,19 +211,19 @@ class DurabilityManager {
   /// Removes the session's files (session deleted).
   void RemoveSession(const std::string& id);
 
-  /// Scans the directory: returns every session with a readable
-  /// snapshot (journal tail attached, torn tails already clipped),
-  /// quarantines unreadable snapshots and orphan journals, and removes
-  /// leftover `*.tmp` files from a crash mid-rotation.
-  vs::Result<std::vector<RecoveredSession>> ScanForRecovery();
+  /// Reads and decodes `<id>.wal` (see ReadWalFile), counting a torn
+  /// tail in `durability.torn_tails`.
+  vs::Result<WalScan> ReadWal(const std::string& id);
 
-  /// Moves the session's files into `quarantine/` (recovery could not
-  /// parse them); boot continues without them.
+  /// Lists the directory without reading any session file: returns the
+  /// sorted ids of every regular `<id>.snap`, quarantines journals with no
+  /// snapshot, and removes leftover `*.tmp` files from a crash
+  /// mid-rotation.
+  vs::Result<std::vector<std::string>> ScanForRecovery();
+
+  /// Moves the session's files into `quarantine/` (they cannot be
+  /// recovered); boot continues without them.
   void Quarantine(const std::string& id);
-
-  /// Moves only `<id>.wal` aside — the snapshot is intact, so the session
-  /// recovers from it and just loses the unreadable journal tail.
-  void QuarantineWal(const std::string& id);
 
   /// Bumps the replayed-labels counters (recovery replays happen in the
   /// SessionManager, which owns the seekers).

@@ -536,7 +536,7 @@ vs::Result<std::shared_ptr<SessionManager::Session>> SessionManager::Restore(
   if (!text.ok()) return quarantine_unless_transient(text.status());
   vs::Result<SessionEnvelope> envelope = ParseEnvelope(*text, snapshot_path);
   if (!envelope.ok()) return quarantine_unless_transient(envelope.status());
-  vs::Result<WalScan> scan = ReadWalFile(durability_->WalPath(id));
+  vs::Result<WalScan> scan = durability_->ReadWal(id);
   if (!scan.ok()) return quarantine_unless_transient(scan.status());
   vs::Result<std::shared_ptr<Session>> built =
       BuildSession(envelope->table_path, envelope->filter,
@@ -635,26 +635,24 @@ vs::Status SessionManager::PersistEnvelopeLocked(
 vs::Status SessionManager::RecoverFromDisk() {
   if (durability_ == nullptr) return vs::Status::OK();
   VS_RETURN_IF_ERROR(durability_->Init());
-  VS_ASSIGN_OR_RETURN(std::vector<RecoveredSession> found,
+  VS_ASSIGN_OR_RETURN(std::vector<std::string> found,
                       durability_->ScanForRecovery());
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const RecoveredSession& rec : found) {
-      if (sessions_.count(rec.id) > 0 || !evicted_.insert(rec.id).second) {
-        continue;
-      }
+    for (const std::string& id : found) {
+      if (sessions_.count(id) > 0 || !evicted_.insert(id).second) continue;
       durability_->CountRecoveredSession();
     }
   }
   // Warm up to the session cap eagerly so recovered sessions answer their
   // first request fast and unparseable ones quarantine now, not later.
-  for (const RecoveredSession& rec : found) {
+  for (const std::string& id : found) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (sessions_.size() >= options_.max_sessions) break;
-      if (evicted_.count(rec.id) == 0) continue;
+      if (evicted_.count(id) == 0) continue;
     }
-    Acquire(rec.id).ok();  // invalid files are quarantined by Restore
+    Acquire(id).ok();  // invalid files are quarantined by Restore
   }
   return vs::Status::OK();
 }

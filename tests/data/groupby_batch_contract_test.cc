@@ -1,11 +1,11 @@
 #include <atomic>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/threadpool.h"
 #include "data/groupby.h"
 #include "data/table.h"
 #include "data/table_memo.h"
@@ -137,25 +137,22 @@ TEST(GroupByBatchContractTest, ConcurrentReadersWithoutPrewarmAgree) {
 
     Table table = MixedTable();
     GroupByExecutor shared(&table, options);
-    constexpr int kReaders = 8;
+    constexpr size_t kReaders = 8;
     std::atomic<int> mismatches{0};
-    std::vector<std::thread> readers;
-    for (int t = 0; t < kReaders; ++t) {
-      readers.emplace_back([&, t] {
-        const std::vector<GroupBySpec> specs = WorkloadSpecs();
-        for (size_t i = 0; i < specs.size(); ++i) {
-          const size_t s = (i + static_cast<size_t>(t)) % specs.size();
-          auto got = shared.Execute(specs[s], nullptr);
-          if (!got.ok() || got->counts != expected[s].counts ||
-              got->sums != expected[s].sums ||
-              got->values != expected[s].values ||
-              got->labels() != expected[s].labels()) {
-            mismatches.fetch_add(1);
-          }
+    ThreadPool readers(kReaders);
+    readers.ParallelFor(0, kReaders, [&](size_t t) {
+      const std::vector<GroupBySpec> specs = WorkloadSpecs();
+      for (size_t i = 0; i < specs.size(); ++i) {
+        const size_t s = (i + t) % specs.size();
+        auto got = shared.Execute(specs[s], nullptr);
+        if (!got.ok() || got->counts != expected[s].counts ||
+            got->sums != expected[s].sums ||
+            got->values != expected[s].values ||
+            got->labels() != expected[s].labels()) {
+          mismatches.fetch_add(1);
         }
-      });
-    }
-    for (std::thread& reader : readers) reader.join();
+      }
+    });
     EXPECT_EQ(mismatches.load(), 0);
     EXPECT_EQ(table.memo()->num_ranges(), 2u);
     // Grids are memoized on the kernel path only: one per distinct

@@ -6,12 +6,12 @@
 #include <limits>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/threadpool.h"
 #include "data/groupby.h"
 #include "data/table.h"
 #include "data/table_memo.h"
@@ -22,14 +22,13 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Differential kernel-equivalence suite: the typed aggregation kernel
-// (use_kernel=true, in its dense, hash-forced and multi-threaded
-// configurations) against the scalar fold oracle (use_kernel=false).
+// (use_kernel=true) against the scalar fold oracle (use_kernel=false).
 //
 // Contract under test (data/groupby_kernel.h): bin assignment, counts,
-// mins and maxs are exact in every configuration; serial kernel runs over
-// small inputs are bit-identical to the oracle; partial-merging (threads)
-// and lane-replicated (large-input) runs reassociate sums/sumsqs and must
-// agree within accumulation tolerance.
+// mins and maxs are always exact; runs without lane replication (small
+// inputs, or more than 256 bins) are bit-identical to the oracle;
+// lane-replicated (large-input, few-bin) runs reassociate sums/sumsqs and
+// must agree within accumulation tolerance.
 // ---------------------------------------------------------------------------
 
 struct RandomTable {
@@ -119,8 +118,8 @@ void ExpectExactlyEqual(const GroupByResult& oracle, const GroupByResult& got,
   EXPECT_EQ(oracle.labels(), got.labels());
   EXPECT_EQ(oracle.counts, got.counts);
   EXPECT_EQ(oracle.rows_seen, got.rows_seen);
-  // Bit-identical: the serial small-input kernel promises the oracle's
-  // exact accumulation order.
+  // Bit-identical: without lanes the kernel promises the oracle's exact
+  // accumulation order.
   EXPECT_EQ(oracle.values, got.values);
   EXPECT_EQ(oracle.sums, got.sums);
   EXPECT_EQ(oracle.sumsqs, got.sumsqs);
@@ -136,7 +135,7 @@ void ExpectNear(double a, double b, const char* what, size_t bin) {
   EXPECT_LE(std::fabs(a - b), tolerance) << what << " bin " << bin;
 }
 
-// Reassociated configurations: structure, counts and min/max stay exact,
+// Lane-replicated runs: structure, counts and min/max stay exact,
 // floating-point accumulations agree within tolerance.
 void ExpectEquivalent(const GroupByResult& oracle, const GroupByResult& got,
                       AggregateFunction func, const std::string& context) {
@@ -159,9 +158,8 @@ void ExpectEquivalent(const GroupByResult& oracle, const GroupByResult& got,
   }
 }
 
-// 150 random tables x 4 specs x random selections, each run through three
-// kernel configurations against the scalar oracle: 600 differential
-// cases, 1800 oracle-vs-kernel comparisons per run of this one test.
+// 150 random tables x 4 specs x random selections against the scalar
+// oracle: 600 differential cases per run of this one test.
 TEST(GroupByKernelDifferentialTest, RandomTablesMatchScalarOracle) {
   Rng rng(20260808);
   for (int iteration = 0; iteration < 150; ++iteration) {
@@ -170,14 +168,7 @@ TEST(GroupByKernelDifferentialTest, RandomTablesMatchScalarOracle) {
     GroupByExecutorOptions scalar_options;
     scalar_options.use_kernel = false;
     GroupByExecutor scalar(&random.table, scalar_options);
-
-    GroupByExecutor dense(&random.table, {});  // defaults: kernel, dense
-    GroupByExecutorOptions hash_options;
-    hash_options.dense_bins_max = 0;  // force the FNV hash path
-    GroupByExecutor hashed(&random.table, hash_options);
-    GroupByExecutorOptions threaded_options;
-    threaded_options.kernel_threads = 4;
-    GroupByExecutor threaded(&random.table, threaded_options);
+    GroupByExecutor kernel(&random.table, {});
 
     for (const GroupBySpec& spec : random.specs) {
       const auto selection = MakeRandomSelection(rng, random.table.num_rows());
@@ -190,18 +181,70 @@ TEST(GroupByKernelDifferentialTest, RandomTablesMatchScalarOracle) {
       auto oracle = scalar.Execute(spec, sel);
       ASSERT_TRUE(oracle.ok()) << context << ": " << oracle.status().ToString();
 
-      auto got_dense = dense.Execute(spec, sel);
-      ASSERT_TRUE(got_dense.ok()) << context;
-      ExpectExactlyEqual(*oracle, *got_dense, context + " [dense]");
+      auto got = kernel.Execute(spec, sel);
+      ASSERT_TRUE(got.ok()) << context;
+      ExpectExactlyEqual(*oracle, *got, context);
+    }
+  }
+}
 
-      auto got_hash = hashed.Execute(spec, sel);
-      ASSERT_TRUE(got_hash.ok()) << context;
-      ExpectExactlyEqual(*oracle, *got_hash, context + " [hash]");
+// A categorical dimension far above the lane limit (20,000 levels, the
+// shape of e2ebench's cold_explore dimension) over more rows than the lane
+// threshold: no lanes are used, so every bin sums in row order and the
+// kernel is bit-identical to the oracle, full-table and under a
+// selection.
+TEST(GroupByKernelDifferentialTest, HighCardinalityDimensionBitIdentical) {
+  Rng rng(20000);
+  auto schema = *Schema::Make({
+      {"c", DataType::kString, FieldRole::kDimension},
+      {"md", DataType::kDouble, FieldRole::kMeasure},
+      {"mi", DataType::kInt64, FieldRole::kMeasure},
+  });
+  TableBuilder b(schema);
+  const size_t kRows = 70'000;  // > kLaneMinRows
+  const uint64_t kLevels = 20'000;
+  b.Reserve(kRows);
+  for (size_t r = 0; r < kRows; ++r) {
+    // The first kLevels rows name every level once; the rest draw
+    // zipf-ish (some bins hot) with a few null dimensions.
+    const bool first_sight = r < kLevels;
+    const uint64_t code =
+        first_sight ? r : rng.NextBounded(1 + rng.NextBounded(kLevels));
+    Value c = !first_sight && rng.NextBernoulli(0.02)
+                  ? Value()
+                  : Value("L" + std::to_string(code));
+    Value md = rng.NextBernoulli(0.05) ? Value()
+                                       : Value(rng.NextGaussian() * 1e3);
+    ASSERT_TRUE(
+        b.AppendRow({c, md, Value(rng.NextInt64(-5000, 5000))}).ok());
+  }
+  Table table = *b.Build();
+  SelectionVector sel;
+  for (uint32_t r = 0; r < kRows; ++r) {
+    if (rng.NextBernoulli(0.3)) sel.push_back(r);
+  }
 
-      auto got_threaded = threaded.Execute(spec, sel);
-      ASSERT_TRUE(got_threaded.ok()) << context;
-      ExpectEquivalent(*oracle, *got_threaded, spec.func,
-                       context + " [threads=4]");
+  GroupByExecutorOptions scalar_options;
+  scalar_options.use_kernel = false;
+  GroupByExecutor scalar(&table, scalar_options);
+  GroupByExecutor kernel(&table, {});
+  for (const char* measure : {"md", "mi"}) {
+    for (AggregateFunction func :
+         {AggregateFunction::kCount, AggregateFunction::kSum,
+          AggregateFunction::kAvg, AggregateFunction::kMin,
+          AggregateFunction::kMax}) {
+      const GroupBySpec spec{"c", measure, func, 0};
+      const SelectionVector* selections[] = {nullptr, &sel};
+      for (const SelectionVector* s : selections) {
+        auto oracle = scalar.Execute(spec, s);
+        ASSERT_TRUE(oracle.ok());
+        ASSERT_EQ(oracle->num_bins(), kLevels);
+        auto got = kernel.Execute(spec, s);
+        ASSERT_TRUE(got.ok());
+        ExpectExactlyEqual(*oracle, *got,
+                           spec.ToString() +
+                               (s == nullptr ? " all rows" : " selection"));
+      }
     }
   }
 }
@@ -330,13 +373,13 @@ TEST(GroupByKernelDifferentialTest, ErrorStatusParity) {
   }
 }
 
-// Many-thread stress, aimed at the sanitizer CI jobs: an executor with an
-// 8-way kernel partial split shared by 4 concurrent reader threads, with
-// nothing prewarmed — the readers race to fill the table memo's range and
-// full-table grids.  Every result must still match the scalar oracle
-// (TSan/ASan make any partial-buffer race or merge-order bug visible;
-// the assertions make silent corruption visible everywhere else).
-TEST(GroupByKernelStressTest, ConcurrentReadersOverThreadedKernel) {
+// Many-thread stress, aimed at the sanitizer CI jobs: 8 concurrent serial
+// readers share one executor with nothing prewarmed, so they race to fill
+// the table memo's range and full-table grids.  Every result must still
+// match the scalar oracle (TSan/ASan make any race on the memo or the
+// kernel's buffers visible; the assertions make silent corruption visible
+// everywhere else).
+TEST(GroupByKernelStressTest, ConcurrentReadersFillOneTableMemo) {
   Rng rng(1234);
   auto schema = *Schema::Make({
       {"c", DataType::kString, FieldRole::kDimension},
@@ -363,9 +406,7 @@ TEST(GroupByKernelStressTest, ConcurrentReadersOverThreadedKernel) {
   GroupByExecutorOptions scalar_options;
   scalar_options.use_kernel = false;
   GroupByExecutor scalar(&oracle_table, scalar_options);
-  GroupByExecutorOptions kernel_options;
-  kernel_options.kernel_threads = 8;
-  GroupByExecutor kernel(&table, kernel_options);
+  GroupByExecutor kernel(&table, {});
 
   const std::vector<GroupBySpec> specs = {
       {"c", "m", AggregateFunction::kSum, 0},
@@ -380,33 +421,30 @@ TEST(GroupByKernelStressTest, ConcurrentReadersOverThreadedKernel) {
     oracles.push_back(std::move(*r));
   }
 
-  constexpr int kReaders = 4;
-  constexpr int kRoundsPerReader = 3;
-  std::vector<std::thread> readers;
+  constexpr size_t kReaders = 8;
+  constexpr size_t kRoundsPerReader = 3;
   std::atomic<int> failures{0};
-  for (int t = 0; t < kReaders; ++t) {
-    readers.emplace_back([&, t] {
-      for (int round = 0; round < kRoundsPerReader; ++round) {
-        const GroupBySpec& spec = specs[(t + round) % specs.size()];
-        const GroupByResult& oracle = oracles[(t + round) % specs.size()];
-        auto got = kernel.Execute(spec, nullptr);
-        if (!got.ok() || got->counts != oracle.counts ||
-            got->labels() != oracle.labels() ||
-            got->rows_seen != oracle.rows_seen) {
-          failures.fetch_add(1);
-        }
+  ThreadPool readers(kReaders);
+  readers.ParallelFor(0, kReaders, [&](size_t t) {
+    for (size_t round = 0; round < kRoundsPerReader; ++round) {
+      const GroupBySpec& spec = specs[(t + round) % specs.size()];
+      const GroupByResult& oracle = oracles[(t + round) % specs.size()];
+      auto got = kernel.Execute(spec, nullptr);
+      if (!got.ok() || got->counts != oracle.counts ||
+          got->labels() != oracle.labels() ||
+          got->rows_seen != oracle.rows_seen) {
+        failures.fetch_add(1);
       }
-    });
-  }
-  for (std::thread& reader : readers) reader.join();
+    }
+  });
   EXPECT_EQ(failures.load(), 0);
   // One range ("x") and one grid per (dimension, bins, measure) filled,
   // however the readers interleaved.
   EXPECT_EQ(table.memo()->num_ranges(), 1u);
   EXPECT_EQ(table.memo()->num_grids(), 2u);
 
-  // Full-precision check once the swarm is done (tolerance: 8-way merge
-  // plus lane replication reassociate the sums).
+  // Full-precision check once the swarm is done (tolerance: lane
+  // replication reassociates the sums).
   for (size_t s = 0; s < specs.size(); ++s) {
     auto got = kernel.Execute(specs[s], nullptr);
     ASSERT_TRUE(got.ok());

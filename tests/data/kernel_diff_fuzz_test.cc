@@ -17,9 +17,10 @@ namespace {
 // Corpus-driven differential fuzzer (ctest binary `vs_kernel_diff`): the
 // typed kernel against the scalar oracle on adversarial inputs — NaN/Inf
 // measures, all-null columns, empty tables, single-row tables, empty
-// groups and all-rows-filtered selections.  Serial kernel runs on these
-// (small) inputs promise bit-identical results, so the comparison is
-// exact, modulo NaN != NaN.
+// groups, all-rows-filtered selections and a 20,000-level dimension.
+// Kernel runs without lane replication (small inputs, or more than 256
+// bins) promise bit-identical results, so the comparison is exact, modulo
+// NaN != NaN.
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -37,8 +38,8 @@ void ExpectSameDoubles(const std::vector<double>& oracle,
   }
 }
 
-// Runs `spec` on both paths (plus the hash-forced kernel) and requires
-// identical outcomes: same status on failure, same result on success.
+// Runs `spec` on both paths and requires identical outcomes: same status
+// on failure, same result on success.
 void ExpectDifferentialMatch(const Table& table, const GroupBySpec& spec,
                              const SelectionVector* selection,
                              const std::string& context) {
@@ -48,26 +49,20 @@ void ExpectDifferentialMatch(const Table& table, const GroupBySpec& spec,
   GroupByExecutor scalar(&table, scalar_options);
   auto oracle = scalar.Execute(spec, selection);
 
-  GroupByExecutorOptions hash_options;
-  hash_options.dense_bins_max = 0;
-  for (const auto& kernel_options :
-       {GroupByExecutorOptions{}, hash_options}) {
-    GroupByExecutor kernel(&table, kernel_options);
-    auto got = kernel.Execute(spec, selection);
-    ASSERT_EQ(oracle.ok(), got.ok())
-        << (oracle.ok() ? got.status().ToString()
-                        : oracle.status().ToString());
-    if (!oracle.ok()) {
-      EXPECT_EQ(oracle.status().code(), got.status().code());
-      continue;
-    }
-    EXPECT_EQ(oracle->labels(), got->labels());
-    EXPECT_EQ(oracle->counts, got->counts);
-    EXPECT_EQ(oracle->rows_seen, got->rows_seen);
-    ExpectSameDoubles(oracle->values, got->values, "values");
-    ExpectSameDoubles(oracle->sums, got->sums, "sums");
-    ExpectSameDoubles(oracle->sumsqs, got->sumsqs, "sumsqs");
+  GroupByExecutor kernel(&table, {});
+  auto got = kernel.Execute(spec, selection);
+  ASSERT_EQ(oracle.ok(), got.ok())
+      << (oracle.ok() ? got.status().ToString() : oracle.status().ToString());
+  if (!oracle.ok()) {
+    EXPECT_EQ(oracle.status().code(), got.status().code());
+    return;
   }
+  EXPECT_EQ(oracle->labels(), got->labels());
+  EXPECT_EQ(oracle->counts, got->counts);
+  EXPECT_EQ(oracle->rows_seen, got->rows_seen);
+  ExpectSameDoubles(oracle->values, got->values, "values");
+  ExpectSameDoubles(oracle->sums, got->sums, "sums");
+  ExpectSameDoubles(oracle->sumsqs, got->sumsqs, "sumsqs");
 }
 
 std::vector<GroupBySpec> AllSpecs(const std::string& dimension,
@@ -185,6 +180,39 @@ TEST(KernelDiffFuzzTest, DegenerateNumericDimensions) {
     for (const GroupBySpec& spec : AllSpecs("x", 4, "m")) {
       ExpectDifferentialMatch(all_null, spec, nullptr, "null numeric dim");
     }
+  }
+}
+
+// A 20,000-level dimension (above the 256-bin lane limit, so no lanes)
+// over 70,000 rows with NaN/Inf/null measures and null dimensions: exact
+// full-table, under a random selection and under an empty one.
+TEST(KernelDiffFuzzTest, HighCardinalityDimensionWithNastyMeasures) {
+  Rng rng(0x4E20);
+  constexpr uint64_t kLevels = 20'000;
+  std::vector<Value> c;
+  std::vector<Value> m;
+  for (uint64_t r = 0; r < 70'000; ++r) {
+    const uint64_t code = r < kLevels ? r : rng.NextBounded(kLevels);
+    c.push_back(r >= kLevels && rng.NextBernoulli(0.05)
+                    ? Value()
+                    : Value("L" + std::to_string(code)));
+    switch (rng.NextBounded(8)) {
+      case 0: m.emplace_back(); break;
+      case 1: m.emplace_back(kNaN); break;
+      case 2: m.emplace_back(rng.NextBernoulli(0.5) ? kInf : -kInf); break;
+      default: m.emplace_back(rng.NextGaussian() * 100.0); break;
+    }
+  }
+  Table table = BuildTable(c, m);
+  SelectionVector some;
+  for (uint32_t r = 0; r < table.num_rows(); ++r) {
+    if (rng.NextBernoulli(0.25)) some.push_back(r);
+  }
+  const SelectionVector none;
+  for (const GroupBySpec& spec : AllSpecs("c", 0, "m")) {
+    ExpectDifferentialMatch(table, spec, nullptr, "20k levels, all rows");
+    ExpectDifferentialMatch(table, spec, &some, "20k levels, selection");
+    ExpectDifferentialMatch(table, spec, &none, "20k levels, empty sel");
   }
 }
 

@@ -3,12 +3,12 @@
 #include <atomic>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/threadpool.h"
 #include "data/groupby.h"
 #include "data/table.h"
 #include "data/value.h"
@@ -19,8 +19,8 @@ namespace vs::data {
 namespace {
 
 // Differential suite for the full-table memo: a result served from the
-// memo must equal, bit for bit, what the same executor options compute on
-// a table whose memo is empty — whichever batch filled the entry.
+// memo must equal, bit for bit, what the kernel computes on a table whose
+// memo is empty — whichever batch filled the entry.
 
 /// A table with nulls in every dimension and measure: categorical "c"
 /// (\p cardinality labels), numeric dimensions "x" (double) and "i"
@@ -98,20 +98,14 @@ struct Shape {
   const char* name;
   size_t rows;
   int cardinality;
-  GroupByExecutorOptions options;
 };
 
 std::vector<Shape> Shapes() {
-  GroupByExecutorOptions hash;
-  hash.dense_bins_max = 4;  // every dimension below takes the hash path
-  GroupByExecutorOptions threaded;
-  threaded.kernel_threads = 4;
   return {
-      {"serial", 3000, 9, {}},
-      {"hash", 3000, 40, hash},
+      {"small", 3000, 9},
+      {"40 levels", 3000, 40},
       // >= 2^16 rows and <= 256 bins: lane-replicated sums.
-      {"lanes", 70000, 9, {}},
-      {"lanes+threads", 70000, 9, threaded},
+      {"lanes", 70000, 9},
   };
 }
 
@@ -125,7 +119,7 @@ TEST(TableMemoTest, ServedResultsBitIdenticalToUncached) {
     SCOPED_TRACE(shape.name);
     const Table base = NullyTable(shape.rows, shape.cardinality, 11);
     Table filled = FreshCopy(base);
-    GroupByExecutor executor(&filled, shape.options);
+    GroupByExecutor executor(&filled);
     size_t grids = 0;
     for (const auto& [dim, bins] : groups) {
       SCOPED_TRACE(dim);
@@ -144,7 +138,7 @@ TEST(TableMemoTest, ServedResultsBitIdenticalToUncached) {
       EXPECT_EQ(filled.memo()->num_grids(), grids);
 
       Table empty = FreshCopy(base);
-      GroupByExecutor uncached(&empty, shape.options);
+      GroupByExecutor uncached(&empty);
       auto want = uncached.ExecuteBatch(batch_b, nullptr);
       ASSERT_TRUE(want.ok());
       for (size_t s = 0; s < batch_b.size(); ++s) {
@@ -154,8 +148,7 @@ TEST(TableMemoTest, ServedResultsBitIdenticalToUncached) {
       const GroupBySpec single{dim, "m1", AggregateFunction::kAvg, bins};
       Table empty_single = FreshCopy(base);
       auto single_want =
-          GroupByExecutor(&empty_single, shape.options).Execute(single,
-                                                                nullptr);
+          GroupByExecutor(&empty_single).Execute(single, nullptr);
       auto single_got = executor.Execute(single, nullptr);
       ASSERT_TRUE(single_want.ok());
       ASSERT_TRUE(single_got.ok());
@@ -165,37 +158,75 @@ TEST(TableMemoTest, ServedResultsBitIdenticalToUncached) {
   }
 }
 
-// The key carries the accumulation shape: a grid filled by a threaded or
-// hash-path executor is never served to a serial dense one (and vice
-// versa), because their sums associate differently.
-TEST(TableMemoTest, AccumulationShapeIsPartOfTheKey) {
+// The key is (dimension, bin count, measure): a grid filled through one
+// executor is served to every other executor on the table, and a view
+// that differs in any of the three gets its own entry.
+TEST(TableMemoTest, KeyIsDimensionBinsAndMeasure) {
   const Table base = NullyTable(70000, 9, 23);
   const GroupBySpec spec{"c", "m1", AggregateFunction::kSum, 0};
-  GroupByExecutorOptions serial;
-  GroupByExecutorOptions threaded;
-  threaded.kernel_threads = 4;
-  GroupByExecutorOptions hash;
-  hash.dense_bins_max = 4;
 
   Table filled = FreshCopy(base);
-  for (const auto* options : {&threaded, &hash, &serial}) {
-    ASSERT_TRUE(GroupByExecutor(&filled, *options).Execute(spec, nullptr).ok());
-  }
-  EXPECT_EQ(filled.memo()->num_grids(), 3u);
-  for (const auto* options : {&serial, &threaded, &hash}) {
+  ASSERT_TRUE(GroupByExecutor(&filled).Execute(spec, nullptr).ok());
+  EXPECT_EQ(filled.memo()->num_grids(), 1u);
+  {
     Table empty = FreshCopy(base);
-    auto want = GroupByExecutor(&empty, *options).Execute(spec, nullptr);
-    auto got = GroupByExecutor(&filled, *options).Execute(spec, nullptr);
+    auto want = GroupByExecutor(&empty).Execute(spec, nullptr);
+    auto got = GroupByExecutor(&filled).Execute(spec, nullptr);
     ASSERT_TRUE(want.ok());
     ASSERT_TRUE(got.ok());
     ExpectBitIdentical(*want, *got, spec.ToString());
+    EXPECT_EQ(filled.memo()->num_grids(), 1u);
   }
-  // kernel_threads 0 and 1 are both serial: one key.
-  GroupByExecutorOptions one_thread;
-  one_thread.kernel_threads = 1;
-  ASSERT_TRUE(
-      GroupByExecutor(&filled, one_thread).Execute(spec, nullptr).ok());
-  EXPECT_EQ(filled.memo()->num_grids(), 3u);
+
+  const std::vector<GroupBySpec> others = {
+      {"x", "m1", AggregateFunction::kSum, 6},
+      {"x", "m1", AggregateFunction::kSum, 7},  // bin count
+      {"i", "m1", AggregateFunction::kSum, 6},  // dimension
+      {"x", "m3", AggregateFunction::kSum, 6},  // measure
+  };
+  for (size_t k = 0; k < others.size(); ++k) {
+    ASSERT_TRUE(GroupByExecutor(&filled).Execute(others[k], nullptr).ok());
+    EXPECT_EQ(filled.memo()->num_grids(), 2u + k);
+  }
+  for (const GroupBySpec& other : others) {
+    Table empty = FreshCopy(base);
+    auto want = GroupByExecutor(&empty).Execute(other, nullptr);
+    auto got = GroupByExecutor(&filled).Execute(other, nullptr);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    ExpectBitIdentical(*want, *got, other.ToString());
+  }
+  EXPECT_EQ(filled.memo()->num_grids(), 1u + others.size());
+}
+
+// A dimension far above the 256-bin lane limit (~19,400 distinct levels
+// of 20,000 drawn over 70,000 rows): the grid the memo serves, and a
+// selection run beside it, are bit-identical to the scalar oracle.
+TEST(TableMemoTest, HighCardinalityGridMatchesScalarOracle) {
+  const Table base = NullyTable(70000, 20000, 41);
+  SelectionVector some;
+  for (uint32_t r = 0; r < base.num_rows(); r += 3) some.push_back(r);
+  GroupByExecutorOptions scalar;
+  scalar.use_kernel = false;
+  Table filled = FreshCopy(base);
+  GroupByExecutor executor(&filled);
+  const std::vector<GroupBySpec> batch = SpecsOver("c", 0, {"m1", "m2"});
+  ASSERT_TRUE(executor.ExecuteBatch(batch, nullptr).ok());
+  EXPECT_EQ(filled.memo()->num_grids(), 2u);
+  const SelectionVector* selections[] = {nullptr, &some};
+  for (const SelectionVector* sel : selections) {
+    auto served = executor.ExecuteBatch(batch, sel);
+    auto want = GroupByExecutor(&base, scalar).ExecuteBatch(batch, sel);
+    ASSERT_TRUE(served.ok());
+    ASSERT_TRUE(want.ok());
+    ASSERT_GT((*want)[0].num_bins(), size_t{1} << 14);
+    for (size_t s = 0; s < batch.size(); ++s) {
+      ExpectBitIdentical((*want)[s], (*served)[s],
+                         batch[s].ToString() +
+                             (sel == nullptr ? " all rows" : " selection"));
+    }
+  }
+  EXPECT_EQ(filled.memo()->num_grids(), 2u);
 }
 
 TEST(TableMemoTest, LifetimeFollowsTheTable) {
@@ -244,34 +275,25 @@ TEST(TableMemoTest, OnlyFullTableKernelCallsFillGrids) {
 TEST(TableMemoTest, FailedFillLeavesNoEntry) {
   const Table base = NullyTable(3000, 9, 5);
   const std::vector<GroupBySpec> batch = SpecsOver("x", 6, {"m1", "m3"});
-  for (const size_t kernel_threads : {size_t{0}, size_t{4}}) {
-    SCOPED_TRACE(kernel_threads);
-    GroupByExecutorOptions options;
-    options.kernel_threads = kernel_threads;
-    Table table = FreshCopy(base);
-    GroupByExecutor executor(&table, options);
-    {
-      fault::FaultInjector injector(1);
-      injector.SetSchedule("kernel.partial_merge_fail", {1});
-      fault::ScopedFaultInjector scoped(&injector);
-      auto failed = executor.ExecuteBatch(batch, nullptr);
-      ASSERT_FALSE(failed.ok());
-      EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
-      EXPECT_EQ(table.memo()->num_grids(), 0u);
-      EXPECT_EQ(table.memo()->bytes(), 0u);
+  Table table = FreshCopy(base);
+  GroupByExecutor executor(&table);
+  fault::FaultInjector injector(1);
+  injector.SetSchedule("kernel.run_fail", {1});
+  fault::ScopedFaultInjector scoped(&injector);
+  auto failed = executor.ExecuteBatch(batch, nullptr);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(table.memo()->num_grids(), 0u);
+  EXPECT_EQ(table.memo()->bytes(), 0u);
 
-      auto recovered = executor.ExecuteBatch(batch, nullptr);
-      ASSERT_TRUE(recovered.ok());
-      EXPECT_EQ(table.memo()->num_grids(), 2u);
-      Table empty = FreshCopy(base);
-      auto want = GroupByExecutor(&empty, options).ExecuteBatch(batch,
-                                                                nullptr);
-      ASSERT_TRUE(want.ok());
-      for (size_t s = 0; s < batch.size(); ++s) {
-        ExpectBitIdentical((*want)[s], (*recovered)[s],
-                           batch[s].ToString());
-      }
-    }
+  auto recovered = executor.ExecuteBatch(batch, nullptr);
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(table.memo()->num_grids(), 2u);
+  Table empty = FreshCopy(base);
+  auto want = GroupByExecutor(&empty).ExecuteBatch(batch, nullptr);
+  ASSERT_TRUE(want.ok());
+  for (size_t s = 0; s < batch.size(); ++s) {
+    ExpectBitIdentical((*want)[s], (*recovered)[s], batch[s].ToString());
   }
 }
 
@@ -298,39 +320,36 @@ TEST(TableMemoTest, ManyThreadFillAndRead) {
 
   Table table = FreshCopy(base);
   GroupByExecutor shared(&table);
-  constexpr int kThreads = 8;
-  constexpr int kRounds = 4;
+  constexpr size_t kThreads = 8;
+  constexpr size_t kRounds = 4;
   std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      GroupByExecutor own(&table);
-      for (int round = 0; round < kRounds; ++round) {
-        const size_t b = static_cast<size_t>(t + round) % batches.size();
-        const GroupByExecutor& executor = (t % 2 == 0) ? shared : own;
-        if (!executor.ExecuteBatch(batches[b], &evens).ok()) {
+  ThreadPool pool(kThreads);
+  pool.ParallelFor(0, kThreads, [&](size_t t) {
+    GroupByExecutor own(&table);
+    for (size_t round = 0; round < kRounds; ++round) {
+      const size_t b = (t + round) % batches.size();
+      const GroupByExecutor& executor = (t % 2 == 0) ? shared : own;
+      if (!executor.ExecuteBatch(batches[b], &evens).ok()) {
+        mismatches.fetch_add(1);
+      }
+      auto got = executor.ExecuteBatch(batches[b], nullptr);
+      if (!got.ok()) {
+        mismatches.fetch_add(1);
+        continue;
+      }
+      for (size_t s = 0; s < got->size(); ++s) {
+        const GroupByResult& want = expected[b][s];
+        const GroupByResult& have = (*got)[s];
+        if (have.counts != want.counts ||
+            !SameBits(have.values, want.values) ||
+            !SameBits(have.sums, want.sums) ||
+            !SameBits(have.sumsqs, want.sumsqs) ||
+            have.labels() != want.labels()) {
           mismatches.fetch_add(1);
-        }
-        auto got = executor.ExecuteBatch(batches[b], nullptr);
-        if (!got.ok()) {
-          mismatches.fetch_add(1);
-          continue;
-        }
-        for (size_t s = 0; s < got->size(); ++s) {
-          const GroupByResult& want = expected[b][s];
-          const GroupByResult& have = (*got)[s];
-          if (have.counts != want.counts ||
-              !SameBits(have.values, want.values) ||
-              !SameBits(have.sums, want.sums) ||
-              !SameBits(have.sumsqs, want.sumsqs) ||
-              have.labels() != want.labels()) {
-            mismatches.fetch_add(1);
-          }
         }
       }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
+    }
+  });
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(table.memo()->num_ranges(), 2u);  // x and i
   EXPECT_EQ(table.memo()->num_grids(), 8u);   // c:3, x:2, i:3

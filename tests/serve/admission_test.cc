@@ -189,8 +189,17 @@ class AdmissionServerTest : public ::testing::Test {
     ASSERT_TRUE(server_->Start().ok());
   }
 
+  /// Installs the fixture's fault injector for the rest of the test.
+  /// Server threads call InjectFault until the server stops, so TearDown
+  /// stops the server before it uninstalls the injector.
+  fault::FaultInjector& ArmFaults() {
+    scoped_ = std::make_unique<fault::ScopedFaultInjector>(&injector_);
+    return injector_;
+  }
+
   void TearDown() override {
     if (server_ != nullptr) server_->Stop();
+    scoped_.reset();
   }
 
   HttpClient Client() { return HttpClient("127.0.0.1", server_->port()); }
@@ -198,6 +207,8 @@ class AdmissionServerTest : public ::testing::Test {
   std::unique_ptr<SessionManager> manager_;
   std::unique_ptr<ServeApp> app_;
   std::unique_ptr<HttpServer> server_;
+  fault::FaultInjector injector_{1};
+  std::unique_ptr<fault::ScopedFaultInjector> scoped_;
 };
 
 TEST_F(AdmissionServerTest, ShedAnswers429ButLabelAcksSurvive) {
@@ -217,9 +228,7 @@ TEST_F(AdmissionServerTest, ShedAnswers429ButLabelAcksSurvive) {
                            .GetInt("view", -1);
   ASSERT_GE(view, 0);
 
-  fault::FaultInjector injector(1);
-  injector.SetProbability("admission.force_shed", 1.0);
-  fault::ScopedFaultInjector scoped(&injector);
+  ArmFaults().SetProbability("admission.force_shed", 1.0);
 
   // Normal traffic is shed with 429 + Retry-After (the client's signal
   // to pace itself, honored by HttpClient's retry loop)...
@@ -252,9 +261,8 @@ TEST_F(AdmissionServerTest, IntrospectionNeverStarvesBehindStalledHandlers) {
   const std::string id =
       JsonValue::Parse(created->body)->GetString("id", "");
 
-  fault::FaultInjector injector(1);
+  fault::FaultInjector& injector = ArmFaults();
   injector.SetProbability("serve.handler_stall", 1.0);
-  fault::ScopedFaultInjector scoped(&injector);
 
   // Three session requests freeze inside the dispatch wrapper...
   std::atomic<int> finished{0};

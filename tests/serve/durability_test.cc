@@ -336,10 +336,16 @@ TEST(DurabilityManagerTest, ScanRecoversSnapshotAndJournal) {
   auto recovered = reader.ScanForRecovery();
   ASSERT_TRUE(recovered.ok());
   ASSERT_EQ(recovered->size(), 1u);
-  EXPECT_EQ((*recovered)[0].id, "s1");
-  EXPECT_EQ((*recovered)[0].snapshot_text, "snapshot-text");
-  ASSERT_EQ((*recovered)[0].wal.records.size(), 2u);
+  EXPECT_EQ((*recovered)[0], "s1");
+  // The scan only lists ids; the files are read where a session restores.
+  auto snapshot = ReadFileFully(reader.SnapshotPath("s1"));
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_EQ(*snapshot, "snapshot-text");
+  auto journal = reader.ReadWal("s1");
+  ASSERT_TRUE(journal.ok());
+  ASSERT_EQ(journal->records.size(), 2u);
   EXPECT_EQ(reader.stats().quarantined, 0u);
+  EXPECT_EQ(reader.stats().torn_tails, 0u);
 }
 
 TEST(DurabilityManagerTest, OrphanJournalIsQuarantined) {
@@ -354,7 +360,7 @@ TEST(DurabilityManagerTest, OrphanJournalIsQuarantined) {
   auto recovered = manager.ScanForRecovery();
   ASSERT_TRUE(recovered.ok());
   ASSERT_EQ(recovered->size(), 1u);
-  EXPECT_EQ((*recovered)[0].id, "live");
+  EXPECT_EQ((*recovered)[0], "live");
   EXPECT_GE(manager.stats().quarantined, 1u);
   EXPECT_FALSE(fs::exists(options.dir + "/ghost.wal"));
   // The bytes moved into quarantine/ rather than being destroyed.
@@ -367,21 +373,23 @@ TEST(DurabilityManagerTest, OrphanJournalIsQuarantined) {
   EXPECT_EQ(quarantined_files, 1u);
 }
 
-TEST(DurabilityManagerTest, UnreadableSnapshotQuarantinesTheSession) {
+TEST(DurabilityManagerTest, NonRegularSnapshotEntryIsSkipped) {
   DurabilityOptions options;
   options.dir = ScratchDir("unreadable");
   options.fsync = false;
   DurabilityManager manager(options);
   ASSERT_TRUE(manager.Init().ok());
-  // A directory where the snapshot should be is unreadable-as-a-file even
-  // for root, unlike permission bits.
+  // A directory named like a snapshot is not a session: the scan lists
+  // regular files only.
   fs::create_directories(options.dir + "/bad.snap");
   ASSERT_TRUE(manager.SaveSnapshot("good", "text").ok());
 
   auto recovered = manager.ScanForRecovery();
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   ASSERT_EQ(recovered->size(), 1u);
-  EXPECT_EQ((*recovered)[0].id, "good");
+  EXPECT_EQ((*recovered)[0], "good");
+  EXPECT_EQ(manager.stats().quarantined, 0u);
+  EXPECT_TRUE(fs::is_directory(options.dir + "/bad.snap"));
 }
 
 TEST(DurabilityManagerTest, LeftoverTempFilesAreRemoved) {

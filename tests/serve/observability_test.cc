@@ -231,7 +231,9 @@ TEST_F(ObservabilityTest, StatuszShowsStalledRequestInFlight) {
   });
 
   // /statusz (never stalled) must list the request by id, attributed to
-  // its endpoint, while it is still parked.
+  // its endpoint, while it is still parked.  The request is listed from
+  // the moment it enters the app, with endpoint "-" until its route is
+  // resolved, so poll until the row carries the endpoint.
   HttpClient prober = Client();
   std::string statusz;
   Stopwatch deadline;
@@ -241,7 +243,8 @@ TEST_F(ObservabilityTest, StatuszShowsStalledRequestInFlight) {
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     ASSERT_EQ(response->status, 200);
     statusz = response->body;
-    if (statusz.find("\"id\":\"stall-1\"") != std::string::npos) {
+    if (statusz.find("\"id\":\"stall-1\",\"endpoint\":\"next\"") !=
+        std::string::npos) {
       seen = true;
       break;
     }

@@ -183,11 +183,10 @@ TEST(FaultInjectionTest, ConcurrentHitsFireExactlyPerSchedule) {
   EXPECT_EQ(injector.total_fires(), 3u);
 }
 
-// The kernel.partial_merge_fail point sits right before the group-by
-// kernel merges its partial aggregates: a scheduled fire must surface as
-// an Internal error from Execute, on both the serial and the
-// multi-threaded driver, and the very next (unscheduled) call succeeds.
-TEST(FaultInjectionTest, KernelPartialMergeFaultSurfacesAsInternal) {
+// The kernel.run_fail point sits at the end of the group-by kernel's
+// pass: a scheduled fire must surface as an Internal error from Execute,
+// and the very next (unscheduled) call succeeds.
+TEST(FaultInjectionTest, KernelRunFaultSurfacesAsInternal) {
   auto schema = *data::Schema::Make({
       {"c", data::DataType::kString, data::FieldRole::kDimension},
       {"m", data::DataType::kDouble, data::FieldRole::kMeasure},
@@ -200,27 +199,22 @@ TEST(FaultInjectionTest, KernelPartialMergeFaultSurfacesAsInternal) {
   }
   data::Table table = *b.Build();
   const data::GroupBySpec spec{"c", "m", data::AggregateFunction::kSum, 0};
+  data::GroupByExecutor executor(&table);
 
-  for (const size_t kernel_threads : {size_t{0}, size_t{4}}) {
-    SCOPED_TRACE(kernel_threads);
-    data::GroupByExecutorOptions options;
-    options.kernel_threads = kernel_threads;
-    data::GroupByExecutor executor(&table, options);
+  FaultInjector injector(1);
+  injector.SetSchedule("kernel.run_fail", {1});
+  ScopedFaultInjector scoped(&injector);
 
-    FaultInjector injector(1);
-    injector.SetSchedule("kernel.partial_merge_fail", {1});
-    ScopedFaultInjector scoped(&injector);
+  auto failed = executor.Execute(spec, nullptr);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+  EXPECT_NE(failed.status().message().find("group-by kernel"),
+            std::string::npos);
+  EXPECT_EQ(injector.Stats("kernel.run_fail").fires, 1u);
 
-    auto failed = executor.Execute(spec, nullptr);
-    ASSERT_FALSE(failed.ok());
-    EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
-    EXPECT_NE(failed.status().message().find("partial"), std::string::npos);
-    EXPECT_EQ(injector.Stats("kernel.partial_merge_fail").fires, 1u);
-
-    auto recovered = executor.Execute(spec, nullptr);
-    ASSERT_TRUE(recovered.ok());
-    EXPECT_EQ(recovered->rows_seen, 200);
-  }
+  auto recovered = executor.Execute(spec, nullptr);
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(recovered->rows_seen, 200);
 }
 
 // The scalar oracle path never reaches the kernel, so the fault point
@@ -238,12 +232,12 @@ TEST(FaultInjectionTest, KernelFaultPointUnreachedOnScalarPath) {
   data::GroupByExecutor executor(&table, options);
 
   FaultInjector injector(1);
-  injector.SetProbability("kernel.partial_merge_fail", 1.0);
+  injector.SetProbability("kernel.run_fail", 1.0);
   ScopedFaultInjector scoped(&injector);
   EXPECT_TRUE(
       executor.Execute({"c", "m", data::AggregateFunction::kSum, 0}, nullptr)
           .ok());
-  EXPECT_EQ(injector.Stats("kernel.partial_merge_fail").hits, 0u);
+  EXPECT_EQ(injector.Stats("kernel.run_fail").hits, 0u);
 }
 
 }  // namespace
