@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "common/random.h"
@@ -153,6 +155,24 @@ vs::Result<FeatureMatrix> FeatureMatrix::Build(
     for (size_t i = 0; i < imm->views.size(); ++i) groups[i] = {i};
   }
 
+  // Every group's target pass reads the same measures over the same
+  // selection, so the kernel path gathers them once, aligned with the
+  // selection (data/groupby_kernel.h).  Reference passes keep reading in
+  // place (memo-served on exact builds).  The copies are shared read-only
+  // by the pool workers and freed when Build returns.
+  std::optional<data::GatheredMeasures> target_measures;
+  if (options.use_kernels) {
+    std::vector<std::string> measures;
+    for (const ViewSpec& view : imm->views) {
+      if (std::find(measures.begin(), measures.end(), view.measure) ==
+          measures.end()) {
+        measures.push_back(view.measure);
+      }
+    }
+    VS_ASSIGN_OR_RETURN(target_measures,
+                        executor.GatherMeasures(measures, *target_sel));
+  }
+
   auto compute_group = [&](size_t g) -> vs::Status {
     const std::vector<size_t>& members = groups[g];
     Stopwatch group_clock;
@@ -162,7 +182,9 @@ vs::Result<FeatureMatrix> FeatureMatrix::Build(
       specs.push_back(imm->views[i].ToGroupBySpec());
     }
     VS_ASSIGN_OR_RETURN(std::vector<data::GroupByResult> targets,
-                        executor.ExecuteBatch(specs, target_sel));
+                        target_measures
+                            ? executor.ExecuteBatch(specs, *target_measures)
+                            : executor.ExecuteBatch(specs, target_sel));
     VS_ASSIGN_OR_RETURN(std::vector<data::GroupByResult> references,
                         executor.ExecuteBatch(specs, ref_sel));
     double feature_seconds = 0.0;

@@ -136,7 +136,7 @@ vs::Result<GroupByResult> GroupByExecutor::Execute(
     const GroupBySpec& spec, const SelectionVector* selection) const {
   if (options_.use_kernel) {
     VS_ASSIGN_OR_RETURN(std::vector<GroupByResult> results,
-                        ExecuteBatchKernel({spec}, selection));
+                        ExecuteBatchKernel({spec}, selection, nullptr));
     return std::move(results[0]);
   }
   VS_ASSIGN_OR_RETURN(ColumnPtr dim_col,
@@ -213,9 +213,9 @@ vs::Result<GroupByResult> GroupByExecutor::Execute(
   return result;
 }
 
-vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatch(
-    const std::vector<GroupBySpec>& specs,
-    const SelectionVector* selection) const {
+namespace {
+
+vs::Status ValidateBatch(const std::vector<GroupBySpec>& specs) {
   if (specs.empty()) {
     return vs::Status::InvalidArgument("batch of specs must be non-empty");
   }
@@ -226,7 +226,39 @@ vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatch(
           "all specs in a batch must share dimension and bin count");
     }
   }
-  if (options_.use_kernel) return ExecuteBatchKernel(specs, selection);
+  return vs::Status::OK();
+}
+
+}  // namespace
+
+vs::Result<GatheredMeasures> GroupByExecutor::GatherMeasures(
+    const std::vector<std::string>& measures,
+    const SelectionVector& selection) const {
+  std::vector<const Column*> columns;  // owned by table_
+  columns.reserve(measures.size());
+  for (const std::string& measure : measures) {
+    VS_ASSIGN_OR_RETURN(ColumnPtr col, table_->ColumnByName(measure));
+    VS_RETURN_IF_ERROR(NumericColumnView::Wrap(col.get()).status());
+    columns.push_back(col.get());
+  }
+  return GatheredMeasures::Gather(columns, selection, table_->num_rows());
+}
+
+vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatch(
+    const std::vector<GroupBySpec>& specs,
+    const GatheredMeasures& gathered) const {
+  VS_RETURN_IF_ERROR(ValidateBatch(specs));
+  if (!options_.use_kernel) return ExecuteBatch(specs, &gathered.selection());
+  return ExecuteBatchKernel(specs, &gathered.selection(), &gathered);
+}
+
+vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatch(
+    const std::vector<GroupBySpec>& specs,
+    const SelectionVector* selection) const {
+  VS_RETURN_IF_ERROR(ValidateBatch(specs));
+  if (options_.use_kernel) {
+    return ExecuteBatchKernel(specs, selection, nullptr);
+  }
 
   // Distinct measures, decoded once per row.
   std::vector<std::string> measures;
@@ -336,8 +368,8 @@ vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatch(
 }
 
 vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatchKernel(
-    const std::vector<GroupBySpec>& specs,
-    const SelectionVector* selection) const {
+    const std::vector<GroupBySpec>& specs, const SelectionVector* selection,
+    const GatheredMeasures* gathered) const {
   // Distinct measures, resolved and type-checked once (same validation
   // and messages as the scalar path).
   std::vector<std::string> measures;
@@ -416,8 +448,11 @@ vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatchKernel(
     for (size_t m : missing) scan_cols.push_back(measure_cols[m]);
     VS_ASSIGN_OR_RETURN(
         std::vector<KernelGrid> fresh,
-        GroupByKernelRun(dim_col.get(), kernel_bins_ptr, num_bins,
-                         scan_cols, selection, table_->num_rows()));
+        gathered != nullptr
+            ? GroupByKernelRun(dim_col.get(), kernel_bins_ptr, num_bins,
+                               scan_cols, *gathered)
+            : GroupByKernelRun(dim_col.get(), kernel_bins_ptr, num_bins,
+                               scan_cols, selection, table_->num_rows()));
     for (size_t k = 0; k < missing.size(); ++k) {
       auto grid = std::make_shared<const KernelGrid>(std::move(fresh[k]));
       grids[missing[k]] =

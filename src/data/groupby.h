@@ -21,6 +21,7 @@
 
 #include "common/result.h"
 #include "data/aggregate.h"
+#include "data/groupby_kernel.h"
 #include "data/table.h"
 
 namespace vs::data {
@@ -101,6 +102,24 @@ class GroupByExecutor {
       const std::vector<GroupBySpec>& specs,
       const SelectionVector* selection) const;
 
+  /// Gathers the measure columns named in \p measures over \p selection
+  /// (borrowed; must outlive the result) for the ExecuteBatch overload
+  /// below.  Fails like ExecuteBatch on an unknown or non-numeric measure,
+  /// and with OutOfRange on a bad selection row id, before any scan.
+  vs::Result<GatheredMeasures> GatherMeasures(
+      const std::vector<std::string>& measures,
+      const SelectionVector& selection) const;
+
+  /// ExecuteBatch over gathered.selection() that folds every spec's
+  /// measure from its copy in \p gathered (each must have been gathered
+  /// from this table; InvalidArgument otherwise) — for callers that run
+  /// several batches over one selection.  Results are bit-identical to
+  /// ExecuteBatch(specs, &gathered.selection()).  The scalar oracle path
+  /// reads in place.
+  vs::Result<std::vector<GroupByResult>> ExecuteBatch(
+      const std::vector<GroupBySpec>& specs,
+      const GatheredMeasures& gathered) const;
+
   /// The bound table.
   const Table& table() const { return *table_; }
 
@@ -119,10 +138,11 @@ class GroupByExecutor {
                                         int32_t num_bins) const;
 
   /// The typed-kernel implementation behind ExecuteBatch (specs already
-  /// validated to share dimension and bin count).
+  /// validated to share dimension and bin count).  With \p gathered the
+  /// measures are folded from their copies over gathered->selection().
   vs::Result<std::vector<GroupByResult>> ExecuteBatchKernel(
-      const std::vector<GroupBySpec>& specs,
-      const SelectionVector* selection) const;
+      const std::vector<GroupBySpec>& specs, const SelectionVector* selection,
+      const GatheredMeasures* gathered) const;
 
   const Table* table_;
   GroupByExecutorOptions options_;

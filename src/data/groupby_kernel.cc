@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 
 #include "testing/fault_injection.h"
 
@@ -218,6 +219,9 @@ struct KernelInput {
   int32_t num_bins = 0;
   std::vector<TypedMeasure> measures;
   const uint32_t* sel = nullptr;  ///< selection data; nullptr = contiguous
+  /// Measures are gathered copies indexed by domain position, while the
+  /// dimension is still read through sel.
+  bool measures_by_position = false;
 };
 
 void StageDimension(const KernelInput& in, uint32_t base,
@@ -292,27 +296,103 @@ void Accumulate(const KernelInput& in, size_t domain, size_t stride,
     } else {
       StageDimension(in, base, rows, n, bins);
     }
+    const uint32_t* measure_rows = in.measures_by_position ? nullptr : rows;
     for (size_t m = 0; m < in.measures.size(); ++m) {
       const LanePtrs grid = PtrsOf(grids[m]);
-      if (rows == nullptr) {
+      if (measure_rows == nullptr) {
         if (stride != 0) {
           AccumulateMeasure<true, kAccumLanes>(in.measures[m], indices, base,
-                                               rows, n, grid, stride);
+                                               measure_rows, n, grid, stride);
         } else {
-          AccumulateMeasure<true, 1>(in.measures[m], indices, base, rows, n,
-                                     grid, 0);
+          AccumulateMeasure<true, 1>(in.measures[m], indices, base,
+                                     measure_rows, n, grid, 0);
         }
       } else {
         if (stride != 0) {
           AccumulateMeasure<false, kAccumLanes>(in.measures[m], indices, base,
-                                                rows, n, grid, stride);
+                                                measure_rows, n, grid, stride);
         } else {
-          AccumulateMeasure<false, 1>(in.measures[m], indices, base, rows, n,
-                                      grid, 0);
+          AccumulateMeasure<false, 1>(in.measures[m], indices, base,
+                                      measure_rows, n, grid, 0);
         }
       }
     }
   }
+}
+
+/// Resolves \p dimension into \p in (type, bins, null-ness).
+vs::Status ResolveDimension(const Column* dimension,
+                            const KernelBinDef* numeric_bins, int32_t num_bins,
+                            KernelInput* in) {
+  if (num_bins < 0) {
+    return vs::Status::InvalidArgument("kernel: negative bin count");
+  }
+  in->num_bins = num_bins;
+  in->cat_dim = dynamic_cast<const CategoricalColumn*>(dimension);
+  if (in->cat_dim != nullptr) return vs::Status::OK();
+  if (numeric_bins == nullptr || numeric_bins->width <= 0.0) {
+    return vs::Status::InvalidArgument(
+        "kernel: numeric dimension requires a positive bin width");
+  }
+  in->bin_def = *numeric_bins;
+  in->i64_dim = dynamic_cast<const Int64Column*>(dimension);
+  in->f64_dim = dynamic_cast<const DoubleColumn*>(dimension);
+  if (in->i64_dim == nullptr && in->f64_dim == nullptr) {
+    return vs::Status::InvalidArgument(
+        "kernel: dimension must be categorical or numeric");
+  }
+  in->dim_has_nulls = dimension->null_count() > 0;
+  return vs::Status::OK();
+}
+
+vs::Result<TypedMeasure> ResolveMeasure(const Column* column) {
+  TypedMeasure measure;
+  measure.i64 = dynamic_cast<const Int64Column*>(column);
+  measure.f64 = dynamic_cast<const DoubleColumn*>(column);
+  if (measure.i64 == nullptr && measure.f64 == nullptr) {
+    return vs::Status::InvalidArgument(
+        "kernel: measures must be int64 or double columns");
+  }
+  measure.has_nulls = column->null_count() > 0;
+  return measure;
+}
+
+/// The pass over domain positions [0, domain) of a resolved input, with
+/// the `kernel.run_fail` fault point at its end.
+vs::Result<std::vector<KernelGrid>> RunPass(const KernelInput& in,
+                                            size_t domain) {
+  const auto nb = static_cast<size_t>(in.num_bins);
+  const bool lanes = in.num_bins <= kLaneMaxBins && domain >= kLaneMinRows;
+  std::vector<KernelGrid> grids(in.measures.size());
+  for (KernelGrid& grid : grids) grid.Reset(lanes ? nb * kAccumLanes : nb);
+  Accumulate(in, domain, lanes ? nb : 0, grids);
+  if (lanes) ReduceLanes(grids, nb);
+  if (VS_FAULT("kernel.run_fail")) {
+    return vs::Status::Internal("injected failure in the group-by kernel");
+  }
+  return grids;
+}
+
+/// Copies the cells of \p col at the rows of \p sel (already checked).
+template <typename ColT>
+std::unique_ptr<const Column> GatherColumn(const ColT& col,
+                                           const SelectionVector& sel) {
+  const auto* data = col.data().data();
+  if (col.null_count() == 0) {
+    std::vector<std::decay_t<decltype(*data)>> values(sel.size());
+    for (size_t i = 0; i < sel.size(); ++i) values[i] = data[sel[i]];
+    return std::make_unique<const ColT>(std::move(values));
+  }
+  auto out = std::make_unique<ColT>();
+  out->Reserve(sel.size());
+  for (uint32_t r : sel) {
+    if (col.IsNull(r)) {
+      out->AppendNull();
+    } else {
+      out->Append(data[r]);
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -321,41 +401,13 @@ vs::Result<std::vector<KernelGrid>> GroupByKernelRun(
     const Column* dimension, const KernelBinDef* numeric_bins,
     int32_t num_bins, const std::vector<const Column*>& measures,
     const SelectionVector* selection, size_t table_rows) {
-  if (num_bins < 0) {
-    return vs::Status::InvalidArgument("kernel: negative bin count");
-  }
-
   KernelInput in;
-  in.num_bins = num_bins;
-  in.cat_dim = dynamic_cast<const CategoricalColumn*>(dimension);
-  if (in.cat_dim == nullptr) {
-    if (numeric_bins == nullptr || numeric_bins->width <= 0.0) {
-      return vs::Status::InvalidArgument(
-          "kernel: numeric dimension requires a positive bin width");
-    }
-    in.bin_def = *numeric_bins;
-    in.i64_dim = dynamic_cast<const Int64Column*>(dimension);
-    in.f64_dim = dynamic_cast<const DoubleColumn*>(dimension);
-    if (in.i64_dim == nullptr && in.f64_dim == nullptr) {
-      return vs::Status::InvalidArgument(
-          "kernel: dimension must be categorical or numeric");
-    }
-    in.dim_has_nulls = dimension->null_count() > 0;
-  }
-
+  VS_RETURN_IF_ERROR(ResolveDimension(dimension, numeric_bins, num_bins, &in));
   in.measures.reserve(measures.size());
   for (const Column* column : measures) {
-    TypedMeasure measure;
-    measure.i64 = dynamic_cast<const Int64Column*>(column);
-    measure.f64 = dynamic_cast<const DoubleColumn*>(column);
-    if (measure.i64 == nullptr && measure.f64 == nullptr) {
-      return vs::Status::InvalidArgument(
-          "kernel: measures must be int64 or double columns");
-    }
-    measure.has_nulls = column->null_count() > 0;
+    VS_ASSIGN_OR_RETURN(TypedMeasure measure, ResolveMeasure(column));
     in.measures.push_back(measure);
   }
-
   if (selection != nullptr) {
     for (uint32_t r : *selection) {
       if (r >= table_rows) {
@@ -364,18 +416,56 @@ vs::Result<std::vector<KernelGrid>> GroupByKernelRun(
     }
     in.sel = selection->data();
   }
-  const size_t domain = selection != nullptr ? selection->size() : table_rows;
+  return RunPass(in, selection != nullptr ? selection->size() : table_rows);
+}
 
-  const auto nb = static_cast<size_t>(num_bins);
-  const bool lanes = num_bins <= kLaneMaxBins && domain >= kLaneMinRows;
-  std::vector<KernelGrid> grids(measures.size());
-  for (KernelGrid& grid : grids) grid.Reset(lanes ? nb * kAccumLanes : nb);
-  Accumulate(in, domain, lanes ? nb : 0, grids);
-  if (lanes) ReduceLanes(grids, nb);
-  if (VS_FAULT("kernel.run_fail")) {
-    return vs::Status::Internal("injected failure in the group-by kernel");
+vs::Result<GatheredMeasures> GatheredMeasures::Gather(
+    const std::vector<const Column*>& columns,
+    const SelectionVector& selection, size_t table_rows) {
+  for (uint32_t r : selection) {
+    if (r >= table_rows) {
+      return vs::Status::OutOfRange("selection row id out of range");
+    }
   }
-  return grids;
+  GatheredMeasures out;
+  out.selection_ = &selection;
+  out.columns_.reserve(columns.size());
+  for (const Column* column : columns) {
+    VS_ASSIGN_OR_RETURN(TypedMeasure measure, ResolveMeasure(column));
+    out.columns_.emplace_back(column, measure.i64 != nullptr
+                                          ? GatherColumn(*measure.i64, selection)
+                                          : GatherColumn(*measure.f64, selection));
+  }
+  return out;
+}
+
+const Column* GatheredMeasures::Find(const Column* source) const {
+  for (const auto& [from, copy] : columns_) {
+    if (from == source) return copy.get();
+  }
+  return nullptr;
+}
+
+vs::Result<std::vector<KernelGrid>> GroupByKernelRun(
+    const Column* dimension, const KernelBinDef* numeric_bins,
+    int32_t num_bins, const std::vector<const Column*>& measures,
+    const GatheredMeasures& gathered) {
+  KernelInput in;
+  VS_RETURN_IF_ERROR(ResolveDimension(dimension, numeric_bins, num_bins, &in));
+  in.measures.reserve(measures.size());
+  for (const Column* column : measures) {
+    const Column* copy = gathered.Find(column);
+    if (copy == nullptr) {
+      return vs::Status::InvalidArgument(
+          "kernel: measure was not gathered over this selection");
+    }
+    VS_ASSIGN_OR_RETURN(TypedMeasure measure, ResolveMeasure(copy));
+    in.measures.push_back(measure);
+  }
+  // Gather checked every row id of the selection.
+  in.sel = gathered.selection().data();
+  in.measures_by_position = true;
+  return RunPass(in, gathered.selection().size());
 }
 
 namespace {

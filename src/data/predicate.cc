@@ -45,6 +45,55 @@ bool ApplyOp(CompareOp op, int cmp) {
   return false;
 }
 
+/// Calls fn(data, n) on the typed array of a null-free int64 or double
+/// column and returns true; returns false (fn not called) for any other
+/// column, which then takes the null-aware NumericColumnView loop.
+template <typename Fn>
+bool WithNullFreeNumeric(const Column* col, Fn&& fn) {
+  if (col->null_count() != 0) return false;
+  if (const auto* i64 = dynamic_cast<const Int64Column*>(col)) {
+    fn(i64->data().data(), i64->size());
+    return true;
+  }
+  if (const auto* f64 = dynamic_cast<const DoubleColumn*>(col)) {
+    fn(f64->data().data(), f64->size());
+    return true;
+  }
+  return false;
+}
+
+/// out[r] = pred(double(data[r])) for every row, branch-free.
+template <typename T, typename Pred>
+void FillMask(const T* data, size_t n, uint8_t* out, Pred pred) {
+  for (size_t r = 0; r < n; ++r) {
+    out[r] = static_cast<uint8_t>(pred(static_cast<double>(data[r])));
+  }
+}
+
+/// The verdict of ApplyOp(op, cmp) with cmp = v < lit ? -1 : v > lit ? 1
+/// : 0, written per operator so the typed loop carries no switch (a NaN
+/// value compares as cmp = 0, exactly as on the null-aware path).
+template <typename T>
+void FillCompareMask(const T* data, size_t n, CompareOp op, double lit,
+                     uint8_t* out) {
+  switch (op) {
+    case CompareOp::kEq:
+      return FillMask(data, n, out,
+                      [lit](double v) { return !(v < lit) & !(v > lit); });
+    case CompareOp::kNe:
+      return FillMask(data, n, out,
+                      [lit](double v) { return (v < lit) | (v > lit); });
+    case CompareOp::kLt:
+      return FillMask(data, n, out, [lit](double v) { return v < lit; });
+    case CompareOp::kLe:
+      return FillMask(data, n, out, [lit](double v) { return !(v > lit); });
+    case CompareOp::kGt:
+      return FillMask(data, n, out, [lit](double v) { return v > lit; });
+    case CompareOp::kGe:
+      return FillMask(data, n, out, [lit](double v) { return !(v < lit); });
+  }
+}
+
 class ComparePredicate final : public Predicate {
  public:
   ComparePredicate(std::string column, CompareOp op, Value literal)
@@ -100,6 +149,11 @@ class ComparePredicate final : public Predicate {
     }
     VS_ASSIGN_OR_RETURN(NumericColumnView view,
                         NumericColumnView::Wrap(col.get()));
+    if (WithNullFreeNumeric(col.get(), [&](const auto* data, size_t n) {
+          FillCompareMask(data, n, op_, lit, mask->data());
+        })) {
+      return vs::Status::OK();
+    }
     for (size_t r = 0; r < view.size(); ++r) {
       if (view.IsNull(r)) continue;
       const double v = view.at(r);
@@ -198,10 +252,18 @@ class BetweenPredicate final : public Predicate {
     VS_ASSIGN_OR_RETURN(ColumnPtr col, table.ColumnByName(column_));
     VS_ASSIGN_OR_RETURN(NumericColumnView view,
                         NumericColumnView::Wrap(col.get()));
+    const double lo = lo_;
+    const double hi = hi_;
+    if (WithNullFreeNumeric(col.get(), [&](const auto* data, size_t n) {
+          FillMask(data, n, mask->data(),
+                   [lo, hi](double v) { return (v >= lo) & (v < hi); });
+        })) {
+      return vs::Status::OK();
+    }
     for (size_t r = 0; r < view.size(); ++r) {
       if (view.IsNull(r)) continue;
       const double v = view.at(r);
-      (*mask)[r] = (v >= lo_ && v < hi_);
+      (*mask)[r] = (v >= lo && v < hi);
     }
     return vs::Status::OK();
   }
@@ -223,10 +285,15 @@ class AndPredicate final : public Predicate {
 
   vs::Status Evaluate(const Table& table,
                       std::vector<uint8_t>* mask) const override {
-    mask->assign(table.num_rows(), 1);
+    if (children_.empty()) {
+      mask->assign(table.num_rows(), 1);
+      return vs::Status::OK();
+    }
+    // The first child writes the mask directly; the rest are folded in.
+    VS_RETURN_IF_ERROR(children_[0]->Evaluate(table, mask));
     std::vector<uint8_t> child_mask;
-    for (const PredicatePtr& child : children_) {
-      VS_RETURN_IF_ERROR(child->Evaluate(table, &child_mask));
+    for (size_t c = 1; c < children_.size(); ++c) {
+      VS_RETURN_IF_ERROR(children_[c]->Evaluate(table, &child_mask));
       for (size_t r = 0; r < mask->size(); ++r) (*mask)[r] &= child_mask[r];
     }
     return vs::Status::OK();
@@ -326,10 +393,18 @@ vs::Result<SelectionVector> SelectRows(const Table& table,
   if (predicate == nullptr) return table.AllRows();
   std::vector<uint8_t> mask;
   VS_RETURN_IF_ERROR(predicate->Evaluate(table, &mask));
-  SelectionVector sel;
+  size_t matches = 0;
+  for (uint8_t m : mask) matches += m != 0;
+  // Sized once and filled branch-free: every row id is written, and the
+  // cursor advances past it only on a match (one spare slot takes the
+  // writes after the last match).
+  SelectionVector sel(matches + 1);
+  size_t k = 0;
   for (size_t r = 0; r < mask.size(); ++r) {
-    if (mask[r]) sel.push_back(static_cast<uint32_t>(r));
+    sel[k] = static_cast<uint32_t>(r);
+    k += mask[r] != 0;
   }
+  sel.resize(matches);
   return sel;
 }
 

@@ -543,6 +543,11 @@ TEST_F(RouterTest, NoServerErrorsDuringMigration) {
       }
     }
   });
+  // Migrate only once the reader is running: a reader thread scheduled
+  // after the whole migration would read nothing at all.
+  while (reads.load() == 0 && bad_status.load() == 0) {
+    std::this_thread::yield();
+  }
   HttpResponse migrated = router_->Handle(Req(
       "POST", "/admin/migrate",
       StrFormat("{\"session\":\"%s\",\"to\":\"%s\"}", id.c_str(),

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include "data/generator.h"
 #include "data/predicate.h"
 #include "data/table_memo.h"
+#include "testing/fault_injection.h"
 
 namespace vs::core {
 namespace {
@@ -451,6 +454,185 @@ TEST_F(FeatureMatrixMemoTest, RefineRowsSameWithEmptyAndFilledMemo) {
       EXPECT_EQ(std::memcmp(&x, &y, sizeof(double)), 0);
     }
   }
+}
+
+// Exact and rough builds gather the target selection's measures once and
+// fold every group's target pass from the copies; RefineRows reads in
+// place.  A rough build refined on every row is therefore the in-place
+// exact matrix, and the gathered exact build must equal it bit for bit —
+// sequential or with pool workers sharing the copies, shared scans or
+// per-view, on the lane path (>= 2^16 selected rows), a 20,000-level
+// dimension, numeric-binned dimensions, and nulls in dimensions and in
+// int64 and double measures.  Below the lane thresholds the scalar oracle
+// (use_kernels = false, which gathers nothing) must agree too.
+class FeatureMatrixGatherTest : public ::testing::Test {
+ protected:
+  static data::Table MakeTable(size_t rows, uint64_t levels, uint64_t seed) {
+    auto schema = *data::Schema::Make({
+        {"c", data::DataType::kString, data::FieldRole::kDimension},
+        {"s", data::DataType::kString, data::FieldRole::kDimension},
+        {"x", data::DataType::kDouble, data::FieldRole::kDimension},
+        {"i", data::DataType::kInt64, data::FieldRole::kDimension},
+        {"md", data::DataType::kDouble, data::FieldRole::kMeasure},
+        {"mi", data::DataType::kInt64, data::FieldRole::kMeasure},
+        {"mc", data::DataType::kDouble, data::FieldRole::kMeasure},
+    });
+    data::TableBuilder b(schema);
+    b.Reserve(rows);
+    Rng rng(seed);
+    for (size_t r = 0; r < rows; ++r) {
+      const uint64_t code =
+          r < levels ? r : rng.NextBounded(1 + rng.NextBounded(levels));
+      const bool null_c = r >= levels && rng.NextBernoulli(0.02);
+      const auto s = static_cast<int64_t>(rng.NextBounded(5));
+      EXPECT_TRUE(
+          b.AppendRow(
+               {null_c ? data::Value() : data::Value("L" + std::to_string(code)),
+                rng.NextBernoulli(0.03)
+                    ? data::Value()
+                    : data::Value("S" + std::to_string(s)),
+                rng.NextBernoulli(0.05)
+                    ? data::Value()
+                    : data::Value(rng.NextDouble() * 50.0 + 2.0 * s),
+                data::Value(rng.NextInt64(-40, 40)),
+                rng.NextBernoulli(0.1)
+                    ? data::Value()
+                    : data::Value(rng.NextGaussian() * 100.0 + 10.0 * s),
+                rng.NextBernoulli(0.1)
+                    ? data::Value()
+                    : data::Value(rng.NextInt64(0, 5000) + 300 * s),
+                data::Value(rng.NextDouble() + 0.1 * s)})
+              .ok());
+    }
+    return *b.Build();
+  }
+
+  static data::SelectionVector Subset(size_t rows, double keep,
+                                      uint64_t seed) {
+    Rng rng(seed);
+    data::SelectionVector sel;
+    for (uint32_t r = 0; r < rows; ++r) {
+      if (rng.NextBernoulli(keep)) sel.push_back(r);
+    }
+    return sel;
+  }
+
+  /// The in-place exact matrix: a rough build refined on every row.
+  static FeatureMatrix InPlace(const data::Table& table,
+                               const std::vector<ViewSpec>& views,
+                               const data::SelectionVector& query,
+                               const UtilityFeatureRegistry& registry,
+                               bool shared_scan) {
+    FeatureMatrixOptions rough;
+    rough.sample_rate = 0.5;
+    rough.seed = 3;
+    rough.shared_scan = shared_scan;
+    auto fm = FeatureMatrix::Build(&table, views, query, &registry, rough);
+    EXPECT_TRUE(fm.ok());
+    std::vector<size_t> all(views.size());
+    for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+    EXPECT_TRUE(fm->RefineRows(all).ok());
+    EXPECT_TRUE(fm->AllExact());
+    return *std::move(fm);
+  }
+
+  static void ExpectSameRaw(const FeatureMatrix& want,
+                            const FeatureMatrix& got) {
+    const ml::Matrix& a = want.raw();
+    const ml::Matrix& b = got.raw();
+    ASSERT_EQ(a.rows(), b.rows());
+    ASSERT_EQ(a.cols(), b.cols());
+    for (size_t i = 0; i < a.rows(); ++i) {
+      for (size_t j = 0; j < a.cols(); ++j) {
+        const double x = a(i, j);
+        const double y = b(i, j);
+        EXPECT_EQ(std::memcmp(&x, &y, sizeof(double)), 0)
+            << "row " << i << " col " << j << ": " << x << " vs " << y;
+      }
+    }
+  }
+
+  /// Gathered builds under every (shared_scan, num_threads) setting equal
+  /// \p want; with \p oracle also the use_kernels = false build.
+  static void ExpectBuildsMatch(const data::Table& table,
+                                const std::vector<ViewSpec>& views,
+                                const data::SelectionVector& query,
+                                double sample_rate, bool oracle) {
+    const UtilityFeatureRegistry registry = UtilityFeatureRegistry::Default();
+    for (const bool shared_scan : {true, false}) {
+      std::optional<FeatureMatrix> want;
+      if (sample_rate >= 1.0) {
+        want = InPlace(table, views, query, registry, shared_scan);
+      }
+      for (const size_t threads : {size_t{0}, size_t{4}}) {
+        SCOPED_TRACE(std::string("shared_scan ") +
+                     (shared_scan ? "on" : "off") + " threads " +
+                     std::to_string(threads));
+        FeatureMatrixOptions options;
+        options.sample_rate = sample_rate;
+        options.seed = 11;
+        options.shared_scan = shared_scan;
+        options.num_threads = threads;
+        auto got = FeatureMatrix::Build(&table, views, query, &registry,
+                                        options);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        if (want) ExpectSameRaw(*want, *got);
+        if (oracle) {
+          options.use_kernels = false;
+          auto scalar = FeatureMatrix::Build(&table, views, query, &registry,
+                                             options);
+          ASSERT_TRUE(scalar.ok());
+          ExpectSameRaw(*scalar, *got);
+        }
+      }
+    }
+  }
+};
+
+TEST_F(FeatureMatrixGatherTest, LanePathAndHighCardinalityMatchInPlace) {
+  const data::Table table = MakeTable(90'000, 20'000, 71);
+  const auto views = *EnumerateViews(table, {});
+  const data::SelectionVector query = Subset(table.num_rows(), 0.8, 72);
+  ASSERT_GE(query.size(), size_t{1} << 16);
+  ExpectBuildsMatch(table, views, query, 1.0, /*oracle=*/false);
+}
+
+TEST_F(FeatureMatrixGatherTest, BelowLaneThresholdsMatchInPlaceAndOracle) {
+  const data::Table table = MakeTable(4'000, 300, 81);
+  const auto views = *EnumerateViews(table, {});
+  const data::SelectionVector query = Subset(table.num_rows(), 0.3, 82);
+  ExpectBuildsMatch(table, views, query, 1.0, /*oracle=*/true);
+  // Rough builds gather the sampled target too.
+  ExpectBuildsMatch(table, views, query, 0.3, /*oracle=*/true);
+}
+
+// kernel.run_fail fires in the first kernel pass, the gathered target
+// pass of the first group: the build fails with Internal, publishes no
+// grid to the table memo, and the next build succeeds unchanged.
+TEST_F(FeatureMatrixGatherTest, KernelFaultFailsGatheredBuild) {
+  const data::Table table = MakeTable(2'000, 40, 91);
+  const auto views = *EnumerateViews(table, {});
+  const data::SelectionVector query = Subset(table.num_rows(), 0.4, 92);
+  const UtilityFeatureRegistry registry = UtilityFeatureRegistry::Default();
+  FeatureMatrixOptions scalar_options;
+  scalar_options.use_kernels = false;
+  auto want =
+      FeatureMatrix::Build(&table, views, query, &registry, scalar_options);
+  ASSERT_TRUE(want.ok());
+  ASSERT_EQ(table.memo()->num_grids(), 0u);
+  {
+    fault::FaultInjector injector(1);
+    injector.SetSchedule("kernel.run_fail", {1});
+    fault::ScopedFaultInjector scoped(&injector);
+    auto failed = FeatureMatrix::Build(&table, views, query, &registry, {});
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+    EXPECT_EQ(injector.Stats("kernel.run_fail").fires, 1u);
+    EXPECT_EQ(table.memo()->num_grids(), 0u);
+  }
+  auto recovered = FeatureMatrix::Build(&table, views, query, &registry, {});
+  ASSERT_TRUE(recovered.ok());
+  ExpectSameRaw(*want, *recovered);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <string>
@@ -450,6 +451,214 @@ TEST(GroupByKernelStressTest, ConcurrentReadersFillOneTableMemo) {
     ASSERT_TRUE(got.ok());
     ExpectEquivalent(oracles[s], *got, specs[s].func, specs[s].ToString());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Gathered measures: ExecuteBatch over measures gathered once per selection
+// must be memcmp-equal to the in-place batch (same lanes, same fold
+// order), and to the scalar oracle below the lane thresholds.
+// ---------------------------------------------------------------------------
+
+// Nulls in the categorical and numeric dimensions and in the int64 and
+// double measures, plus a null-free double measure.
+Table MakeGatherTable(Rng& rng, size_t rows, uint64_t levels) {
+  auto schema = *Schema::Make({
+      {"c", DataType::kString, FieldRole::kDimension},
+      {"x", DataType::kDouble, FieldRole::kDimension},
+      {"i", DataType::kInt64, FieldRole::kDimension},
+      {"md", DataType::kDouble, FieldRole::kMeasure},
+      {"mi", DataType::kInt64, FieldRole::kMeasure},
+      {"mc", DataType::kDouble, FieldRole::kMeasure},
+  });
+  TableBuilder b(schema);
+  b.Reserve(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    const uint64_t code =
+        r < levels ? r : rng.NextBounded(1 + rng.NextBounded(levels));
+    Value c = r >= levels && rng.NextBernoulli(0.03)
+                  ? Value()
+                  : Value("L" + std::to_string(code));
+    Value x = rng.NextBernoulli(0.05) ? Value()
+                                      : Value(rng.NextDouble() * 40.0 - 7.0);
+    Value i = Value(rng.NextInt64(-30, 30));
+    Value md = rng.NextBernoulli(0.1) ? Value()
+                                      : Value(rng.NextGaussian() * 1e3);
+    Value mi = rng.NextBernoulli(0.1) ? Value()
+                                      : Value(rng.NextInt64(-9000, 9000));
+    Value mc = Value(rng.NextGaussian());
+    EXPECT_TRUE(b.AppendRow({c, x, i, md, mi, mc}).ok());
+  }
+  return *b.Build();
+}
+
+void ExpectBitEqual(const std::vector<double>& want,
+                    const std::vector<double>& got, const char* what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(double)),
+            0)
+      << what;
+}
+
+void ExpectBatchesBitEqual(const std::vector<GroupByResult>& want,
+                           const std::vector<GroupByResult>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t s = 0; s < want.size(); ++s) {
+    SCOPED_TRACE("spec " + std::to_string(s));
+    EXPECT_EQ(want[s].labels(), got[s].labels());
+    EXPECT_EQ(want[s].counts, got[s].counts);
+    EXPECT_EQ(want[s].rows_seen, got[s].rows_seen);
+    ExpectBitEqual(want[s].values, got[s].values, "values");
+    ExpectBitEqual(want[s].sums, got[s].sums, "sums");
+    ExpectBitEqual(want[s].sumsqs, got[s].sumsqs, "sumsqs");
+  }
+}
+
+// Every (dimension, bins) batch over every measure and function.
+std::vector<std::vector<GroupBySpec>> GatherBatches() {
+  std::vector<std::vector<GroupBySpec>> batches;
+  const std::pair<const char*, int32_t> groups[] = {
+      {"c", 0}, {"x", 7}, {"i", 4}};
+  for (const auto& [dim, bins] : groups) {
+    std::vector<GroupBySpec> batch;
+    for (const char* measure : {"md", "mi", "mc"}) {
+      for (AggregateFunction func :
+           {AggregateFunction::kCount, AggregateFunction::kSum,
+            AggregateFunction::kAvg, AggregateFunction::kMin,
+            AggregateFunction::kMax}) {
+        batch.push_back({dim, measure, func, bins});
+      }
+    }
+    batches.push_back(std::move(batch));
+  }
+  return batches;
+}
+
+// Runs every batch gathered and in place over \p sel; below the lane
+// thresholds (\p below_lanes) also against the scalar oracle.
+void ExpectGatheredMatchesInPlace(const Table& table,
+                                  const SelectionVector& sel,
+                                  bool below_lanes) {
+  GroupByExecutor kernel(&table, {});
+  GroupByExecutorOptions scalar_options;
+  scalar_options.use_kernel = false;
+  GroupByExecutor scalar(&table, scalar_options);
+  auto gathered = kernel.GatherMeasures({"md", "mi", "mc"}, sel);
+  ASSERT_TRUE(gathered.ok()) << gathered.status().ToString();
+  EXPECT_EQ(&gathered->selection(), &sel);
+  for (const auto& batch : GatherBatches()) {
+    SCOPED_TRACE(batch[0].ToString() + " sel " + std::to_string(sel.size()));
+    auto in_place = kernel.ExecuteBatch(batch, &sel);
+    ASSERT_TRUE(in_place.ok()) << in_place.status().ToString();
+    auto got = kernel.ExecuteBatch(batch, *gathered);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectBatchesBitEqual(*in_place, *got);
+    if (below_lanes) {
+      auto oracle = scalar.ExecuteBatch(batch, &sel);
+      ASSERT_TRUE(oracle.ok());
+      ExpectBatchesBitEqual(*oracle, *got);
+    }
+    // The scalar executor accepts the gathered set and reads in place.
+    auto scalar_gathered = scalar.ExecuteBatch(batch, *gathered);
+    ASSERT_TRUE(scalar_gathered.ok());
+    EXPECT_EQ(scalar_gathered->size(), batch.size());
+  }
+}
+
+TEST(GroupByKernelGatherTest, RandomSelectionsMatchInPlaceAndOracle) {
+  Rng rng(4242);
+  for (int iteration = 0; iteration < 20; ++iteration) {
+    SCOPED_TRACE("iter " + std::to_string(iteration));
+    const Table table =
+        MakeGatherTable(rng, 50 + rng.NextBounded(3000), 1 + rng.NextBounded(40));
+    auto selection = MakeRandomSelection(rng, table.num_rows());
+    const SelectionVector sel = selection ? *selection : table.AllRows();
+    ExpectGatheredMatchesInPlace(table, sel, /*below_lanes=*/true);
+  }
+}
+
+// A selection of >= 2^16 rows puts the few-bin batches on the lane path;
+// the 20,000-level dimension takes the dense grid without lanes.
+TEST(GroupByKernelGatherTest, LanePathAndHighCardinalityMatchInPlace) {
+  Rng rng(65536);
+  const Table table = MakeGatherTable(rng, 90'000, 20'000);
+  SelectionVector sel;
+  for (uint32_t r = 0; r < table.num_rows(); ++r) {
+    if (rng.NextBernoulli(0.8)) sel.push_back(r);
+  }
+  ASSERT_GE(sel.size(), size_t{1} << 16);
+  ExpectGatheredMatchesInPlace(table, sel, /*below_lanes=*/false);
+
+  // Without lanes (the 20,000-level dimension) gathered also equals the
+  // scalar oracle bit for bit.
+  GroupByExecutorOptions scalar_options;
+  scalar_options.use_kernel = false;
+  GroupByExecutor scalar(&table, scalar_options);
+  GroupByExecutor kernel(&table, {});
+  auto gathered = kernel.GatherMeasures({"md", "mi", "mc"}, sel);
+  ASSERT_TRUE(gathered.ok());
+  const std::vector<GroupBySpec> batch = GatherBatches()[0];
+  auto oracle = scalar.ExecuteBatch(batch, &sel);
+  ASSERT_TRUE(oracle.ok());
+  ASSERT_EQ((*oracle)[0].num_bins(), 20'000u);
+  auto got = kernel.ExecuteBatch(batch, *gathered);
+  ASSERT_TRUE(got.ok());
+  ExpectBatchesBitEqual(*oracle, *got);
+}
+
+// The gather is the one place a selection's row ids are checked on the
+// gathered path: a bad id fails there, before any scan, with the same
+// OutOfRange the in-place kernel and the scalar path return.
+TEST(GroupByKernelGatherTest, GatherRejectsBadInputsBeforeAnyScan) {
+  Rng rng(3);
+  RandomTable random = MakeRandomTable(rng, 50);
+  const Table& table = random.table;
+  GroupByExecutor kernel(&table, {});
+  GroupByExecutorOptions scalar_options;
+  scalar_options.use_kernel = false;
+  GroupByExecutor scalar(&table, scalar_options);
+
+  const SelectionVector bad_sels[] = {
+      {static_cast<uint32_t>(table.num_rows() + 7)},
+      {0, static_cast<uint32_t>(table.num_rows())},
+      {std::numeric_limits<uint32_t>::max()},
+  };
+  for (const SelectionVector& bad_sel : bad_sels) {
+    auto gathered = kernel.GatherMeasures({"md", "mi"}, bad_sel);
+    ASSERT_FALSE(gathered.ok());
+    EXPECT_EQ(gathered.status().code(), StatusCode::kOutOfRange);
+    auto oracle =
+        scalar.Execute({"c", "md", AggregateFunction::kSum, 0}, &bad_sel);
+    ASSERT_FALSE(oracle.ok());
+    EXPECT_EQ(oracle.status().code(), gathered.status().code());
+
+    ColumnPtr md = *table.ColumnByName("md");
+    auto direct = GatheredMeasures::Gather({md.get()}, bad_sel,
+                                           table.num_rows());
+    ASSERT_FALSE(direct.ok());
+    EXPECT_EQ(direct.status().code(), StatusCode::kOutOfRange);
+  }
+
+  const SelectionVector sel = {0, 1, 2};
+  // Unknown and non-numeric measures fail as ExecuteBatch does.
+  auto missing = kernel.GatherMeasures({"missing"}, sel);
+  auto missing_batch =
+      kernel.ExecuteBatch({{"c", "missing", AggregateFunction::kSum, 0}}, &sel);
+  ASSERT_FALSE(missing.ok());
+  ASSERT_FALSE(missing_batch.ok());
+  EXPECT_EQ(missing.status().code(), missing_batch.status().code());
+  auto categorical = kernel.GatherMeasures({"c"}, sel);
+  ASSERT_FALSE(categorical.ok());
+  EXPECT_EQ(categorical.status().code(), StatusCode::kInvalidArgument);
+
+  // A spec whose measure was not gathered is refused, not read in place.
+  auto gathered = kernel.GatherMeasures({"md"}, sel);
+  ASSERT_TRUE(gathered.ok());
+  auto ungathered =
+      kernel.ExecuteBatch({{"c", "mi", AggregateFunction::kSum, 0}}, *gathered);
+  ASSERT_FALSE(ungathered.ok());
+  EXPECT_EQ(ungathered.status().code(), StatusCode::kInvalidArgument);
+  // Batch validation still applies.
+  EXPECT_FALSE(kernel.ExecuteBatch({}, *gathered).ok());
 }
 
 // ---------------------------------------------------------------------------
