@@ -98,11 +98,6 @@ HttpResponse RelayShardResponse(serve::ClientResponse upstream,
   if (const std::string* stages = upstream.FindHeader("x-request-stages")) {
     response.extra_headers.emplace_back("X-Request-Stages", *stages);
   }
-  if (const std::string* quality = upstream.FindHeader("x-quality")) {
-    // Brownout marker: clients behind the router still learn the answer
-    // was served from a partially refined matrix.
-    response.extra_headers.emplace_back("X-Quality", *quality);
-  }
   if (const std::string* echoed =
           upstream.FindHeader("x-deadline-budget-ms")) {
     // The worker echoes the deadline it received; copying it through

@@ -67,9 +67,7 @@ class Deadline {
   }
 
   /// A deadline bounded by both \p units work units and \p seconds of
-  /// wall clock — whichever exhausts first.  Used by deadline-propagated
-  /// refinement slices: the unit cap bounds per-request work, the wall
-  /// cap honours the client's remaining budget.
+  /// wall clock — whichever exhausts first.
   static Deadline AfterUnitsAndSeconds(int64_t units, double seconds) {
     Deadline d = AfterSeconds(seconds);
     d.has_units_ = true;

@@ -1,6 +1,7 @@
 #include "data/predicate.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_set>
 
 #include "common/string_util.h"
@@ -71,26 +72,27 @@ void FillMask(const T* data, size_t n, uint8_t* out, Pred pred) {
 }
 
 /// The verdict of ApplyOp(op, cmp) with cmp = v < lit ? -1 : v > lit ? 1
-/// : 0, written per operator so the typed loop carries no switch (a NaN
-/// value compares as cmp = 0, exactly as on the null-aware path).
+/// : 0, written per operator so the typed loop carries no switch.  A NaN
+/// value matches no operator, exactly as on the null-aware path (and as
+/// in BETWEEN).
 template <typename T>
 void FillCompareMask(const T* data, size_t n, CompareOp op, double lit,
                      uint8_t* out) {
   switch (op) {
     case CompareOp::kEq:
       return FillMask(data, n, out,
-                      [lit](double v) { return !(v < lit) & !(v > lit); });
+                      [lit](double v) { return v == lit; });
     case CompareOp::kNe:
       return FillMask(data, n, out,
                       [lit](double v) { return (v < lit) | (v > lit); });
     case CompareOp::kLt:
       return FillMask(data, n, out, [lit](double v) { return v < lit; });
     case CompareOp::kLe:
-      return FillMask(data, n, out, [lit](double v) { return !(v > lit); });
+      return FillMask(data, n, out, [lit](double v) { return v <= lit; });
     case CompareOp::kGt:
       return FillMask(data, n, out, [lit](double v) { return v > lit; });
     case CompareOp::kGe:
-      return FillMask(data, n, out, [lit](double v) { return !(v < lit); });
+      return FillMask(data, n, out, [lit](double v) { return v >= lit; });
   }
 }
 
@@ -157,6 +159,7 @@ class ComparePredicate final : public Predicate {
     for (size_t r = 0; r < view.size(); ++r) {
       if (view.IsNull(r)) continue;
       const double v = view.at(r);
+      if (std::isnan(v)) continue;  // NaN matches no comparison
       const int cmp = v < lit ? -1 : (v > lit ? 1 : 0);
       (*mask)[r] = ApplyOp(op_, cmp);
     }

@@ -75,8 +75,9 @@ class RequestContext {
 
   /// \name Request deadline — an absolute point relative to the request's
   /// private epoch, set once by the transport when the client supplied
-  /// `X-Deadline-Ms`.  Subsystems below (admission, session manager,
-  /// refinement) read the *remaining* budget; no deadline means infinite.
+  /// `X-Deadline-Ms`.  The serving layer reads the *remaining* budget
+  /// (expired-in-queue 504s, admission's congestion signal); no deadline
+  /// means infinite.
   /// @{
   void set_deadline_ms(double ms) {
     deadline_us_.store(static_cast<int64_t>(ms * 1000.0),
@@ -90,32 +91,6 @@ class RequestContext {
   bool deadline_expired() const {
     const int64_t d = deadline_us_.load(std::memory_order_relaxed);
     return d > 0 && ElapsedMicros() >= d;
-  }
-  /// @}
-
-  /// \name Brownout hint — set by the admission layer when the server is
-  /// saturated (or the remaining deadline is short), read by the engine
-  /// to prefer a degraded α-sample / partially-refined answer over
-  /// shedding the request.
-  /// @{
-  void set_brownout(bool on) {
-    brownout_.store(on, std::memory_order_relaxed);
-  }
-  bool brownout() const { return brownout_.load(std::memory_order_relaxed); }
-  /// @}
-
-  /// \name Degraded marker — set by the engine when the answer it served
-  /// came from a rough or partially-refined matrix; the transport stamps
-  /// `X-Quality: degraded` from it.  refined_fraction is the share of
-  /// exact feature rows backing the answer (1.0 = full quality).
-  /// @{
-  void MarkDegraded(double refined_fraction) {
-    degraded_.store(true, std::memory_order_relaxed);
-    refined_fraction_.store(refined_fraction, std::memory_order_relaxed);
-  }
-  bool degraded() const { return degraded_.load(std::memory_order_relaxed); }
-  double refined_fraction() const {
-    return refined_fraction_.load(std::memory_order_relaxed);
   }
   /// @}
 
@@ -143,9 +118,6 @@ class RequestContext {
   Stopwatch epoch_;
   std::atomic<const char*> current_stage_{nullptr};
   std::atomic<int64_t> deadline_us_{0};  ///< relative to epoch; <=0 = none
-  std::atomic<bool> brownout_{false};
-  std::atomic<bool> degraded_{false};
-  std::atomic<double> refined_fraction_{1.0};
 
   mutable std::mutex mu_;
   std::string endpoint_;

@@ -54,8 +54,6 @@ AdmissionDecision AdmissionController::Acquire(
     ++ep.critical_inflight;
     ++ep.admitted;
     decision.admitted = true;
-    decision.saturated =
-        ep.inflight + 1 >= static_cast<int>(ep.limit);
     AdmittedCounter()->Increment();
     return decision;
   }
@@ -69,8 +67,9 @@ AdmissionDecision AdmissionController::Acquire(
   ++ep.inflight;
   ++ep.admitted;
   decision.admitted = true;
-  decision.saturated = ep.inflight >= limit;
-  if (decision.saturated) ep.constrained = true;
+  // Filling the last slot is the evidence of demand additive increase
+  // waits for.
+  if (ep.inflight >= limit) ep.constrained = true;
   AdmittedCounter()->Increment();
   return decision;
 }

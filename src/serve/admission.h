@@ -26,12 +26,6 @@
 /// shed.  kNormal requests are shed with `kResourceExhausted` (→ 429 +
 /// Retry-After) when the endpoint is at its limit.
 ///
-/// Saturation as a brownout signal: Acquire() reports whether the
-/// endpoint was at (or within one slot of) its limit, which the serving
-/// layer uses to switch admitted requests into degraded-quality mode
-/// instead of queueing them (docs/ARCHITECTURE.md "Overload &
-/// degradation").
-///
 /// Thread-safety: fully thread-safe; one mutex per controller (the
 /// critical sections are a handful of arithmetic ops).
 
@@ -68,9 +62,6 @@ struct AdmissionOptions {
 /// \brief Outcome of one admission attempt.
 struct AdmissionDecision {
   bool admitted = false;
-  /// The endpoint was at (or within one slot of) its limit — the brownout
-  /// hint for admitted requests.
-  bool saturated = false;
 };
 
 /// \brief One endpoint's state for /statusz.

@@ -54,29 +54,6 @@ obs::Counter* DeadlineExpiredCounter() {
   return c;
 }
 
-obs::Counter* DegradedResponseCounter() {
-  static obs::Counter* c = obs::MetricsRegistry::Default().GetCounter(
-      "degraded.responses",
-      "responses served from a rough or partially-refined matrix "
-      "(X-Quality: degraded)");
-  return c;
-}
-
-/// Inserts the brownout quality object before the body's closing brace
-/// when the engine marked this request degraded; identity otherwise, so
-/// full-quality responses stay byte-identical to the pre-brownout
-/// protocol.
-std::string AppendQualityField(std::string json) {
-  obs::RequestContext* context = obs::CurrentRequestContext();
-  if (context == nullptr || !context->degraded()) return json;
-  const size_t pos = json.rfind('}');
-  if (pos == std::string::npos) return json;
-  json.insert(pos, StrFormat(",\"quality\":{\"degraded\":true,"
-                             "\"refined_fraction\":%.4f}",
-                             context->refined_fraction()));
-  return json;
-}
-
 /// Escapes a Prometheus label value: backslash, double-quote, newline.
 std::string PromLabelEscape(std::string_view value) {
   std::string out;
@@ -245,15 +222,12 @@ void ServeApp::AddRoute(const char* method, const char* pattern,
         const AdmissionClass admission_class = critical
                                                    ? AdmissionClass::kCritical
                                                    : AdmissionClass::kNormal;
-        AdmissionDecision decision;
-        decision.admitted = true;
         if (options_.admission_enabled) {
           // Charged to the "queue" stage: this is where an overloaded
           // request dies, and the stage shows up in /statusz, wide
           // events and X-Request-Stages.
           obs::StageTimer queue_stage("queue");
-          decision = admission_.Acquire(name, admission_class);
-          if (!decision.admitted) {
+          if (!admission_.Acquire(name, admission_class).admitted) {
             HttpResponse shed = ErrorResponseFor(
                 vs::Status::ResourceExhausted(
                     std::string("admission limit reached for ") + name));
@@ -271,21 +245,6 @@ void ServeApp::AddRoute(const char* method, const char* pattern,
           DeadlineExpiredCounter()->Increment();
           return ErrorResponseFor(vs::Status::TimedOut(
               "deadline expired before the handler started"));
-        }
-        // Brownout: an admitted request that landed in the endpoint's
-        // last slots, or whose remaining deadline is short, is served in
-        // degraded-quality mode (α-sample / partially-refined matrix)
-        // instead of being queued or shed.  The fault point lets tests
-        // force the mode deterministically.
-        if (context != nullptr && !introspection) {
-          const bool short_deadline =
-              context->has_deadline() &&
-              context->remaining_seconds() * 1e3 <
-                  options_.brownout_deadline_ms;
-          if ((options_.admission_enabled && decision.saturated) ||
-              short_deadline || VS_FAULT("brownout.force")) {
-            context->set_brownout(true);
-          }
         }
         if (!introspection) {
           while (VS_FAULT("serve.handler_stall")) {
@@ -426,8 +385,9 @@ HttpResponse ServeApp::Handle(const HttpRequest& request) {
   auto context = std::make_shared<obs::RequestContext>(id, request.method,
                                                        request.path);
   // Deadline propagation: the client's (or upstream router's) remaining
-  // budget in milliseconds.  Everything below — admission, cold builds,
-  // refinement passes — reads the remaining budget from the context.
+  // budget in milliseconds.  The dispatch wrapper fails a request whose
+  // budget ran out while it queued, and admission counts a budget blown
+  // inside the handler as congestion.
   double deadline_ms = 0.0;
   if (const std::string* header = request.FindHeader("x-deadline-ms")) {
     auto parsed = ParseDouble(Trim(*header));
@@ -475,14 +435,10 @@ HttpResponse ServeApp::Handle(const HttpRequest& request) {
     response.extra_headers.emplace_back("X-Shard", options_.shard_name);
   }
   // Echo the deadline we honoured (routers assert their hop decrement
-  // through this) and stamp brownout-quality responses.
+  // through this).
   if (deadline_ms > 0.0) {
     response.extra_headers.emplace_back("X-Deadline-Budget-Ms",
                                         StrFormat("%.3f", deadline_ms));
-  }
-  if (context->degraded()) {
-    response.extra_headers.emplace_back("X-Quality", "degraded");
-    DegradedResponseCounter()->Increment();
   }
   const std::string stages = StagesHeaderValue(context->stages());
   if (!stages.empty()) {
@@ -505,10 +461,6 @@ void ServeApp::EmitWideEvent(const obs::RequestContext& context,
       .SetBool("sampled", sampled);
   if (!options_.shard_name.empty()) {
     event.SetStr("shard", options_.shard_name);
-  }
-  if (context.degraded()) {
-    event.SetBool("degraded", true);
-    event.SetNum("refined_fraction", context.refined_fraction());
   }
   if (context.has_deadline()) {
     event.SetNum("deadline_remaining_ms", context.remaining_seconds() * 1e3);
@@ -545,22 +497,22 @@ HttpResponse ServeApp::CreateSession(const HttpRequest& request) {
 
   auto info = manager_->Create(spec);
   if (!info.ok()) return ErrorResponseFor(info.status());
-  return JsonOk(AppendQualityField(InfoJson(*info)), 201);
+  return JsonOk(InfoJson(*info), 201);
 }
 
 HttpResponse ServeApp::GetInfo(const std::vector<std::string>& params) {
   auto info = manager_->Info(params[0]);
   if (!info.ok()) return ErrorResponseFor(info.status());
-  return JsonOk(AppendQualityField(InfoJson(*info)));
+  return JsonOk(InfoJson(*info));
 }
 
 HttpResponse ServeApp::GetNext(const std::vector<std::string>& params) {
   auto batch = manager_->Next(params[0]);
   if (!batch.ok()) return ErrorResponseFor(batch.status());
-  return JsonOk(AppendQualityField(StrFormat(
+  return JsonOk(StrFormat(
       "{\"views\":%s,\"cold_start\":%s}\n",
       ViewArrayJson(batch->views, batch->view_ids, nullptr).c_str(),
-      batch->cold_start ? "true" : "false")));
+      batch->cold_start ? "true" : "false"));
 }
 
 HttpResponse ServeApp::PostLabel(const HttpRequest& request,
@@ -599,9 +551,9 @@ HttpResponse ServeApp::GetTopK(const HttpRequest& request,
   }
   auto topk = manager_->TopK(params[0], lambda);
   if (!topk.ok()) return ErrorResponseFor(topk.status());
-  return JsonOk(AppendQualityField(StrFormat(
+  return JsonOk(StrFormat(
       "{\"views\":%s}\n",
-      ViewArrayJson(topk->views, topk->view_ids, &topk->scores).c_str())));
+      ViewArrayJson(topk->views, topk->view_ids, &topk->scores).c_str()));
 }
 
 HttpResponse ServeApp::GetLabels(const std::vector<std::string>& params) {
@@ -774,8 +726,6 @@ HttpResponse ServeApp::Statusz() {
       static_cast<unsigned long long>(cache.hits),
       static_cast<unsigned long long>(cache.misses));
   out += StrFormat(",\"active_sessions\":%zu", manager_->active_sessions());
-  out += StrFormat(",\"degraded_sessions\":%zu",
-                   manager_->degraded_sessions());
 
   if (manager_->durability_enabled()) {
     const DurabilityStats d = manager_->durability_stats();

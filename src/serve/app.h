@@ -109,10 +109,6 @@ struct ServeAppOptions {
   /// bounded-queue policy; the serve tool enables it.
   bool admission_enabled = false;
   AdmissionOptions admission;
-  /// Brownout trigger: an admitted request whose remaining deadline is
-  /// below this (or that was admitted into the endpoint's last slots)
-  /// is served in degraded-quality mode instead of being shed.
-  double brownout_deadline_ms = 50.0;
 };
 
 /// \brief Stateless protocol adapter over a borrowed SessionManager.

@@ -12,11 +12,11 @@
 /// matrices by their content identity (core/matrix_identity.h) and serves
 /// them to concurrent sessions:
 ///
-///  * **Immutability + COW**: cached matrices are handed out as
-///    `shared_ptr<const FeatureMatrix>`; sessions copy the handle (cheap —
-///    FeatureMatrix shares its blocks) and any per-session refinement
-///    detaches a private state copy, so one user's refined rows never
-///    leak into another session or back into the cache.
+///  * **Immutability**: cached matrices are handed out as
+///    `shared_ptr<const FeatureMatrix>`.  A caller that wants to refine
+///    copies the handle (cheap — FeatureMatrix copies share their blocks
+///    and detach a private state copy on first refinement), so refined
+///    rows never leak back into the cache.
 ///  * **Single-flight construction**: concurrent misses on one key run the
 ///    builder exactly once; the others wait and share the result.  A
 ///    failed build is not cached — waiters retry (one of them becomes the
@@ -91,7 +91,7 @@ class FeatureMatrixCache {
   /// Returns the cached matrix for \p key, building it via \p builder on a
   /// miss (single-flight: concurrent misses build once).  The returned
   /// matrix is immutable and shared; copy it (`FeatureMatrix` copies are
-  /// cheap COW handles) to refine per session.
+  /// cheap COW handles) to refine privately.
   vs::Result<std::shared_ptr<const core::FeatureMatrix>> GetOrBuild(
       const std::string& key, const Builder& builder);
 

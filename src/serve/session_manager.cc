@@ -7,7 +7,6 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/matrix_identity.h"
-#include "core/refinement.h"
 #include "core/session_io.h"
 #include "core/view.h"
 #include "data/csv.h"
@@ -49,30 +48,6 @@ struct SessionMetrics {
           r.GetHistogram("serve.session_create_seconds",
                          obs::DefaultLatencyBuckets(),
                          "table load + matrix build + seeker init"),
-      };
-    }();
-    return m;
-  }
-};
-
-/// Brownout / healing series (degraded.*), registered on first use.
-struct DegradedMetrics {
-  obs::Counter* creates;
-  obs::Counter* heal_passes;
-  obs::Counter* healed;
-  obs::Gauge* sessions;
-
-  static const DegradedMetrics& Get() {
-    static const DegradedMetrics m = [] {
-      auto& r = obs::MetricsRegistry::Default();
-      return DegradedMetrics{
-          r.GetCounter("degraded.creates",
-                       "sessions cold-built on the brownout α-sample"),
-          r.GetCounter("degraded.heal_passes", "background healer passes"),
-          r.GetCounter("degraded.healed_sessions",
-                       "degraded sessions refined back to full quality"),
-          r.GetGauge("degraded.sessions",
-                     "live sessions still serving rough rows"),
       };
     }();
     return m;
@@ -205,12 +180,6 @@ SessionManager::~SessionManager() {
   }
   reaper_cv_.notify_all();
   if (reaper_.joinable()) reaper_.join();
-  {
-    std::lock_guard<std::mutex> lock(healer_mu_);
-    stop_healer_ = true;
-  }
-  healer_cv_.notify_all();
-  if (healer_.joinable()) healer_.join();
 }
 
 int64_t SessionManager::NowMicros() const { return clock_->NowMicros(); }
@@ -283,19 +252,6 @@ SessionManager::BuildSession(const std::string& table_path,
 
   core::FeatureMatrixOptions build_options;
   build_options.num_threads = options_.feature_threads;
-  // Brownout: a fresh create flagged for degraded service gets its cold
-  // build on the α-sample — the paper's quality-for-latency dial turned
-  // by the overload layer.  Restores stay exact (the bit-identical
-  // estimator contract of restore/recovery depends on it).  sample_rate is
-  // part of the cache identity, so rough canonicals never alias exact
-  // ones, and a brownout storm of identical creates still builds the
-  // rough matrix exactly once.
-  if (restore_text == nullptr && options_.degraded_sample_rate < 1.0) {
-    obs::RequestContext* context = obs::CurrentRequestContext();
-    if (context != nullptr && context->brownout()) {
-      build_options.sample_rate = options_.degraded_sample_rate;
-    }
-  }
   // Canonical matrices are shared across sessions through the cache; the
   // table id folds in the row count so a reloaded-and-changed file under
   // the same path cannot alias a stale entry.
@@ -315,9 +271,7 @@ SessionManager::BuildSession(const std::string& table_path,
   session->loaded = std::move(loaded);
   session->table_path = table_path;
   session->filter = filter;
-  // A cheap COW copy: refinements this session makes detach private state
-  // instead of mutating the shared canonical matrix.
-  session->matrix = std::make_unique<core::FeatureMatrix>(*canonical);
+  session->matrix = std::move(canonical);
   if (restore_text != nullptr) {
     VS_ASSIGN_OR_RETURN(
         core::ViewSeeker seeker,
@@ -331,48 +285,8 @@ SessionManager::BuildSession(const std::string& table_path,
     session->seeker =
         std::make_unique<core::ViewSeeker>(std::move(seeker));
   }
-  session->degraded.store(!session->matrix->AllExact(),
-                          std::memory_order_relaxed);
   session->last_used_us.store(NowMicros(), std::memory_order_relaxed);
   return session;
-}
-
-void SessionManager::NoteQualityLocked(Session& session) const {
-  obs::RequestContext* context = obs::CurrentRequestContext();
-  if (context == nullptr || session.matrix->AllExact()) return;
-  context->MarkDegraded(
-      static_cast<double>(session.matrix->num_exact()) /
-      static_cast<double>(std::max<size_t>(1, session.matrix->num_views())));
-}
-
-void SessionManager::RefineSliceLocked(Session& session, size_t max_rows) {
-  if (max_rows == 0 || session.matrix->AllExact()) return;
-  obs::StageTimer stage("session_manager.refine");
-  core::IncrementalRefiner refiner(session.matrix.get());
-  // Priority = the estimator's current predicted utility (§3.3); before
-  // any labels there is no estimator, so rows refine in index order.
-  std::vector<double> priorities;
-  if (session.seeker->num_labeled() > 0) {
-    vs::Result<std::vector<double>> scores = session.seeker->CurrentScores();
-    if (scores.ok()) priorities = std::move(*scores);
-  }
-  const int64_t units =
-      static_cast<int64_t>(max_rows) *
-      std::max<int64_t>(1, session.matrix->RefineCostPerRow());
-  Deadline deadline = Deadline::AfterUnits(units);
-  obs::RequestContext* context = obs::CurrentRequestContext();
-  if (context != nullptr && context->has_deadline()) {
-    // Spend at most half the remaining budget refining; the other half
-    // answers the request.  An exhausted budget skips the slice — the
-    // background healer catches up.
-    const double budget_seconds = context->remaining_seconds() * 0.5;
-    if (budget_seconds <= 0.0) return;
-    deadline = Deadline::AfterUnitsAndSeconds(units, budget_seconds);
-  }
-  refiner.RefineBatch(priorities, &deadline).ok();
-  if (session.matrix->AllExact()) {
-    session.degraded.store(false, std::memory_order_relaxed);
-  }
 }
 
 SessionInfo SessionManager::InfoLocked(Session& session) const {
@@ -458,10 +372,6 @@ vs::Result<SessionInfo> SessionManager::Create(const CreateSpec& spec) {
   m.created->Increment();
   m.create_seconds->Observe(watch.ElapsedSeconds());
   std::lock_guard<std::mutex> session_lock(session->mu);
-  if (session->degraded.load(std::memory_order_relaxed)) {
-    DegradedMetrics::Get().creates->Increment();
-    NoteQualityLocked(*session);
-  }
   return InfoLocked(*session);
 }
 
@@ -681,14 +591,6 @@ vs::Result<NextBatch> SessionManager::Next(const std::string& id) {
   obs::StageTimer stage("session_manager.next");
   VS_ASSIGN_OR_RETURN(LockedSession locked, AcquireLocked(id));
   const std::shared_ptr<Session>& session = locked.session;
-  // Heal a degraded session between prompts (deadline-bounded) unless
-  // the server is in brownout — then answer rough and let the background
-  // healer catch up.
-  obs::RequestContext* context = obs::CurrentRequestContext();
-  if (context == nullptr || !context->brownout()) {
-    RefineSliceLocked(*session, options_.refine_rows_per_request);
-  }
-  NoteQualityLocked(*session);
   VS_ASSIGN_OR_RETURN(std::vector<size_t> views,
                       session->seeker->NextQueries());
   NextBatch batch;
@@ -736,11 +638,6 @@ vs::Result<TopKResult> SessionManager::TopK(const std::string& id,
   obs::StageTimer stage("session_manager.topk");
   VS_ASSIGN_OR_RETURN(LockedSession locked, AcquireLocked(id));
   const std::shared_ptr<Session>& session = locked.session;
-  obs::RequestContext* context = obs::CurrentRequestContext();
-  if (context == nullptr || !context->brownout()) {
-    RefineSliceLocked(*session, options_.refine_rows_per_request);
-  }
-  NoteQualityLocked(*session);
   vs::Result<std::vector<size_t>> topk =
       lambda > 0.0 ? session->seeker->RecommendDiverseTopK(lambda)
                    : session->seeker->RecommendTopK();
@@ -760,9 +657,7 @@ vs::Result<TopKResult> SessionManager::TopK(const std::string& id,
 
 vs::Result<SessionInfo> SessionManager::Info(const std::string& id) {
   VS_ASSIGN_OR_RETURN(LockedSession locked, AcquireLocked(id));
-  const std::shared_ptr<Session>& session = locked.session;
-  NoteQualityLocked(*session);
-  return InfoLocked(*session);
+  return InfoLocked(*locked.session);
 }
 
 vs::Result<LabeledViews> SessionManager::Labels(const std::string& id) {
@@ -939,64 +834,6 @@ void SessionManager::ReaperLoop() {
     EvictIdleOlderThan(options_.session_ttl_seconds);
     lock.lock();
   }
-}
-
-size_t SessionManager::HealDegradedSessions(size_t max_rows_per_session) {
-  const DegradedMetrics& m = DegradedMetrics::Get();
-  m.heal_passes->Increment();
-  std::vector<std::shared_ptr<Session>> candidates;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [id, session] : sessions_) {
-      if (session->degraded.load(std::memory_order_relaxed)) {
-        candidates.push_back(session);
-      }
-    }
-  }
-  size_t healed = 0;
-  for (const std::shared_ptr<Session>& session : candidates) {
-    // A busy session is being healed by its own request path; an evicted
-    // one restores exact anyway.
-    std::unique_lock<std::mutex> lock(session->mu, std::try_to_lock);
-    if (!lock.owns_lock() || session->detached) continue;
-    RefineSliceLocked(*session, max_rows_per_session);
-    if (!session->degraded.load(std::memory_order_relaxed)) {
-      ++healed;
-      m.healed->Increment();
-    }
-  }
-  m.sessions->Set(static_cast<double>(degraded_sessions()));
-  return healed;
-}
-
-void SessionManager::StartHealer() {
-  if (options_.heal_interval_seconds <= 0.0) return;
-  if (healer_.joinable()) return;
-  healer_ = std::thread([this] { HealLoop(); });
-}
-
-void SessionManager::HealLoop() {
-  const auto interval = std::chrono::microseconds(static_cast<int64_t>(
-      std::max(0.05, options_.heal_interval_seconds) * 1e6));
-  std::unique_lock<std::mutex> lock(healer_mu_);
-  while (!stop_healer_) {
-    if (healer_cv_.wait_for(lock, interval,
-                            [this] { return stop_healer_; })) {
-      return;
-    }
-    lock.unlock();
-    HealDegradedSessions(options_.heal_rows_per_pass);
-    lock.lock();
-  }
-}
-
-size_t SessionManager::degraded_sessions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t count = 0;
-  for (const auto& [id, session] : sessions_) {
-    if (session->degraded.load(std::memory_order_relaxed)) ++count;
-  }
-  return count;
 }
 
 size_t SessionManager::active_sessions() const {

@@ -88,23 +88,6 @@ struct SessionManagerOptions {
   /// labels, bounding both journal size and recovery replay time.
   size_t snapshot_every_labels = 128;
   /// @}
-  /// \name Brownout-quality degraded serving (docs/ARCHITECTURE.md
-  /// "Overload & degradation").  Requests flagged for brownout by the
-  /// serving layer (saturated admission, short remaining deadline) get
-  /// their cold matrix built on this α-sample instead of the full data;
-  /// the session then answers from the rough matrix and heals through
-  /// per-request refinement slices and the background healer.
-  /// @{
-  /// α for degraded cold builds; 1.0 disables degraded builds entirely.
-  double degraded_sample_rate = 0.25;
-  /// Rows refined (deadline-bounded) before answering a Next/TopK on a
-  /// degraded session outside brownout; 0 disables request-path healing.
-  size_t refine_rows_per_request = 4;
-  /// Background healer cadence (StartHealer); <= 0 disables the thread.
-  double heal_interval_seconds = 0.5;
-  /// Rows refined per degraded session per healer pass.
-  size_t heal_rows_per_pass = 32;
-  /// @}
 };
 
 /// \brief A table plus its enumerated views, shared across sessions.
@@ -231,23 +214,11 @@ class SessionManager {
   /// Starts the background TTL reaper (idempotent).
   void StartReaper();
 
-  /// Runs one healer pass now: refines up to \p max_rows_per_session
-  /// rows of every idle degraded session (busy sessions are skipped —
-  /// their own request path heals them).  Returns how many sessions
-  /// became fully exact this pass.
-  size_t HealDegradedSessions(size_t max_rows_per_session);
-
-  /// Starts the background brownout healer (idempotent; no-op when
-  /// heal_interval_seconds <= 0).
-  void StartHealer();
-
   /// \name Introspection (tests, /healthz).
   /// @{
   size_t active_sessions() const;
   size_t evicted_sessions() const;
   size_t cached_tables() const;
-  /// Live sessions still serving from a rough / partially-refined matrix.
-  size_t degraded_sessions() const;
   size_t cached_matrices() const { return matrix_cache_.entries(); }
   FeatureMatrixCache& matrix_cache() { return matrix_cache_; }
   const SessionManagerOptions& options() const { return options_; }
@@ -260,17 +231,14 @@ class SessionManager {
     std::shared_ptr<const LoadedTable> loaded;
     std::string table_path;
     std::string filter;
-    /// Heap-allocated so the seeker's borrowed pointer survives moves.
-    std::unique_ptr<core::FeatureMatrix> matrix;
+    /// The exact canonical matrix, shared read-only with the matrix cache
+    /// and every session over the same subset; the seeker borrows it.
+    std::shared_ptr<const core::FeatureMatrix> matrix;
     std::unique_ptr<core::ViewSeeker> seeker;
     /// Microseconds on the manager's monotonic clock of the last request.
     std::atomic<int64_t> last_used_us{0};
     /// Open journal handle when durability is on (guarded by mu).
     std::unique_ptr<WalWriter> wal;
-    /// True while the matrix still has rough rows (set by degraded cold
-    /// builds, cleared once refinement makes every row exact).  Atomic so
-    /// the healer and /statusz can scan without taking session locks.
-    std::atomic<bool> degraded{false};
     /// Set (under mu) when eviction drops this object from the live map,
     /// after snapshotting it when durability is on.  From then on the
     /// snapshot is the authoritative copy; a caller that locked a detached
@@ -315,14 +283,6 @@ class SessionManager {
   vs::Status RotateLocked(Session& session);
   SessionInfo InfoLocked(Session& session) const;
   void ReaperLoop();
-  void HealLoop();
-  /// Refines up to \p max_rows rough rows of the session's matrix,
-  /// highest-priority first, bounded by the current request's remaining
-  /// deadline when one is installed (mu held).
-  void RefineSliceLocked(Session& session, size_t max_rows);
-  /// Marks the current request degraded when the session's matrix still
-  /// has rough rows (mu held).
-  void NoteQualityLocked(Session& session) const;
 
   const SessionManagerOptions options_;
   const std::string default_table_path_;
@@ -347,11 +307,6 @@ class SessionManager {
   std::mutex reaper_mu_;
   std::condition_variable reaper_cv_;
   bool stop_reaper_ = false;
-
-  std::thread healer_;
-  std::mutex healer_mu_;
-  std::condition_variable healer_cv_;
-  bool stop_healer_ = false;
 };
 
 }  // namespace vs::serve

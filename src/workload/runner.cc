@@ -26,7 +26,6 @@ struct WorkerStats {
   std::map<std::string, vs::LatencyRecorder> recorders;
   std::map<std::string, uint64_t> backpressure;
   std::map<std::string, uint64_t> errors;
-  std::map<std::string, uint64_t> degraded;
   std::map<std::string, uint64_t> deadline_expired;
   std::map<std::string, uint64_t> shard_counts;
   uint64_t sessions_started = 0;
@@ -55,9 +54,8 @@ struct Reply {
 /// a fast answer); a 504 is backpressure too — the deadline the runner
 /// itself attached was spent, which is the system declining honestly,
 /// not failing; anything else is a completed response and lands in the
-/// endpoint's recorder, with `X-Quality: degraded` completions counted
-/// separately.  Call sites still vet the status code — an unexpected 4xx
-/// is a protocol error even though it was timed.
+/// endpoint's recorder.  Call sites still vet the status code — an
+/// unexpected 4xx is a protocol error even though it was timed.
 Reply TimedRequest(HttpClient& client, WorkerStats& stats,
                    const std::string& endpoint, std::string_view method,
                    const std::string& target, const std::string& body,
@@ -93,9 +91,6 @@ Reply TimedRequest(HttpClient& client, WorkerStats& stats,
     return reply;
   }
   reply.outcome = Outcome::kOk;
-  if (result->FindHeader("x-quality") != nullptr) {
-    ++stats.degraded[endpoint];
-  }
   stats.recorders[endpoint].Record(reply.seconds);
   return reply;
 }
@@ -324,11 +319,10 @@ std::string RunReport::FormatText() const {
       static_cast<unsigned long long>(requests),
       static_cast<unsigned long long>(backpressure),
       static_cast<unsigned long long>(errors), max_start_lag_seconds);
-  if (degraded > 0 || deadline_expired > 0 || retries_suppressed > 0) {
+  if (deadline_expired > 0 || retries_suppressed > 0) {
     out += vs::StrFormat(
-        "  overload: %llu degraded responses, %llu deadline-expired "
-        "(504), %llu retries suppressed by budget\n",
-        static_cast<unsigned long long>(degraded),
+        "  overload: %llu deadline-expired (504), %llu retries suppressed "
+        "by budget\n",
         static_cast<unsigned long long>(deadline_expired),
         static_cast<unsigned long long>(retries_suppressed));
   }
@@ -353,11 +347,6 @@ std::string RunReport::FormatText() const {
           "  shed=%llu err=%llu",
           static_cast<unsigned long long>(endpoint.backpressure),
           static_cast<unsigned long long>(endpoint.errors));
-    }
-    if (endpoint.degraded > 0) {
-      out += vs::StrFormat(
-          "  degraded=%llu",
-          static_cast<unsigned long long>(endpoint.degraded));
     }
     out += "\n";
   }
@@ -390,7 +379,6 @@ std::string RunReport::ToJson() const {
       "  \"requests\": %llu,\n"
       "  \"errors\": %llu,\n"
       "  \"backpressure\": %llu,\n"
-      "  \"degraded\": %llu,\n"
       "  \"deadline_expired\": %llu,\n"
       "  \"retries_suppressed\": %llu,\n"
       "  \"max_start_lag_seconds\": %.3f,\n"
@@ -404,7 +392,6 @@ std::string RunReport::ToJson() const {
       static_cast<unsigned long long>(requests),
       static_cast<unsigned long long>(errors),
       static_cast<unsigned long long>(backpressure),
-      static_cast<unsigned long long>(degraded),
       static_cast<unsigned long long>(deadline_expired),
       static_cast<unsigned long long>(retries_suppressed),
       max_start_lag_seconds, slo_target);
@@ -416,12 +403,11 @@ std::string RunReport::ToJson() const {
         "    %s: {\"count\": %zu, \"p50_ms\": %.3f, \"p95_ms\": %.3f, "
         "\"p99_ms\": %.3f, \"max_ms\": %.3f, \"budget_ms\": %.3f, "
         "\"within_slo\": %.6f, \"backpressure\": %llu, \"errors\": %llu, "
-        "\"degraded\": %llu, \"deadline_expired\": %llu}%s\n",
+        "\"deadline_expired\": %llu}%s\n",
         vs::serve::JsonQuote(name).c_str(), s.count, s.p50_ms, s.p95_ms,
         s.p99_ms, s.max_ms, s.budget_ms, endpoint.WithinSloFraction(),
         static_cast<unsigned long long>(endpoint.backpressure),
         static_cast<unsigned long long>(endpoint.errors),
-        static_cast<unsigned long long>(endpoint.degraded),
         static_cast<unsigned long long>(endpoint.deadline_expired),
         ++i < endpoints.size() ? "," : "");
   }
@@ -541,10 +527,6 @@ vs::Result<RunReport> RunWorkload(const WorkloadPlan& plan,
     for (const auto& [name, count] : local.errors) {
       endpoints[name].errors += count;
       report.errors += count;
-    }
-    for (const auto& [name, count] : local.degraded) {
-      endpoints[name].degraded += count;
-      report.degraded += count;
     }
     for (const auto& [name, count] : local.deadline_expired) {
       endpoints[name].deadline_expired += count;

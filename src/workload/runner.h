@@ -49,7 +49,6 @@ struct EndpointReport {
   vs::LatencySummary summary;  ///< completed (non-shed) responses
   uint64_t backpressure = 0;   ///< 429/503/504 answers
   uint64_t errors = 0;         ///< transport failures + other 5xx
-  uint64_t degraded = 0;       ///< completions stamped `X-Quality: degraded`
   uint64_t deadline_expired = 0;  ///< 504 answers (subset of backpressure)
 
   /// %-of-ops-within-SLO: budget-met completions over completions plus
@@ -68,7 +67,6 @@ struct RunReport {
   uint64_t requests = 0;
   uint64_t errors = 0;
   uint64_t backpressure = 0;
-  uint64_t degraded = 0;          ///< brownout-quality completions
   uint64_t deadline_expired = 0;  ///< 504s across endpoints
   uint64_t retries_suppressed = 0;  ///< client retries a budget refused
   double max_start_lag_seconds = 0.0;

@@ -222,6 +222,27 @@ TEST(PredicateTest, TypedAndNullAwareLoopsAgree) {
       }
     }
   }
+
+  // NaN matches no comparison on either loop, as in BETWEEN: cells
+  // {1, NaN, 2}, the null-aware twin with a trailing null.
+  auto schema = *Schema::Make({{"d", DataType::kDouble, FieldRole::kMeasure},
+                               {"dn", DataType::kDouble, FieldRole::kMeasure}});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  TableBuilder b(schema);
+  for (double v : {1.0, nan, 2.0}) {
+    EXPECT_TRUE(b.AppendRow({Value(v), Value(v)}).ok());
+  }
+  EXPECT_TRUE(b.AppendRow({Value(1.0), Value()}).ok());
+  Table cells = *b.Build();
+  const std::pair<CompareOp, SelectionVector> verdicts[] = {
+      {CompareOp::kEq, {0}}, {CompareOp::kNe, {2}}, {CompareOp::kLt, {}},
+      {CompareOp::kLe, {0}}, {CompareOp::kGt, {2}}, {CompareOp::kGe, {0, 2}}};
+  for (const auto& [op, want] : verdicts) {
+    SCOPED_TRACE(std::string("x ") + CompareOpName(op) + " 1");
+    SelectionVector typed = *SelectRows(cells, Compare("d", op, Value(1.0)));
+    EXPECT_EQ(KeepValid(typed, cells, "dn"), want);
+    EXPECT_EQ(*SelectRows(cells, Compare("dn", op, Value(1.0))), want);
+  }
 }
 
 TEST(PredicateTest, SelectRowsShapes) {

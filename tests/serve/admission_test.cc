@@ -69,13 +69,25 @@ TEST(AdmissionControllerTest, CriticalBypassesFullLimiter) {
   EXPECT_DOUBLE_EQ(controller.LimitFor("label"), 4.0);
 }
 
-TEST(AdmissionControllerTest, LastSlotReportsSaturation) {
+TEST(AdmissionControllerTest, OnlyFillingTheLastSlotEarnsGrowth) {
   FakeClock clock(1'000'000);
   AdmissionController controller(SmallLimiter(&clock));
+  // Three of four slots busy: admitted, but no evidence of demand, so
+  // the uncongested completions leave the limit where it was.
   for (int i = 0; i < 3; ++i) {
-    EXPECT_FALSE(controller.Acquire("topk", kNormal).saturated);
+    EXPECT_TRUE(controller.Acquire("topk", kNormal).admitted);
   }
-  EXPECT_TRUE(controller.Acquire("topk", kNormal).saturated);
+  for (int i = 0; i < 3; ++i) {
+    controller.Release("topk", kNormal, /*congested=*/false);
+  }
+  EXPECT_DOUBLE_EQ(controller.LimitFor("topk"), 4.0);
+  // The request that fills the last slot is admitted and marks the
+  // endpoint constrained: the next clean completion probes upward.
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_TRUE(controller.Acquire("topk", kNormal).admitted);
+  }
+  controller.Release("topk", kNormal, /*congested=*/false);
+  EXPECT_DOUBLE_EQ(controller.LimitFor("topk"), 4.25);
 }
 
 TEST(AdmissionControllerTest, CooldownCollapsesCongestionBurst) {
@@ -117,7 +129,7 @@ TEST(AdmissionControllerTest, GrowsToMaxWhileConstrained) {
   AdmissionController controller(options);
   // Run at the limit once so the controller has evidence of demand.
   ASSERT_TRUE(controller.Acquire("next", kNormal).admitted);
-  ASSERT_TRUE(controller.Acquire("next", kNormal).saturated);
+  ASSERT_TRUE(controller.Acquire("next", kNormal).admitted);
   controller.Release("next", kNormal, /*congested=*/false);
   controller.Release("next", kNormal, /*congested=*/false);
   EXPECT_GT(controller.LimitFor("next"), 2.0);

@@ -1,8 +1,8 @@
 /// Deadline-propagation tests: the hop-decrement arithmetic, the serve
 /// layer's expired-in-queue fast 504 and budget echo, the router's
 /// decrement-and-forward (observable through the worker's
-/// X-Deadline-Budget-Ms echo), and refinement slices stopping inside a
-/// work/wall budget (the mechanism brownout healing runs under).
+/// X-Deadline-Budget-Ms echo), and refinement batches stopping inside a
+/// work/wall budget (Deadline::AfterUnitsAndSeconds).
 
 #include <memory>
 #include <string>
@@ -38,9 +38,9 @@ TEST(DecrementedDeadlineTest, HopDecrementArithmetic) {
 }
 
 TEST(DeadlineTest, RefinementStopsInsideUnitBudget) {
-  // AfterUnitsAndSeconds is the slice the serve layer hands the refiner:
-  // the unit cap bounds work, the wall cap honors the client's budget.
-  // With a generous wall bound the unit budget binds deterministically.
+  // AfterUnitsAndSeconds caps a refinement batch twice: the unit cap
+  // bounds work, the wall cap bounds time.  With a generous wall bound
+  // the unit budget binds deterministically.
   auto world = core::testutil::MakeMiniWorld(0.3);
   core::IncrementalRefiner refiner(world.matrix.get());
   const int64_t cost = world.matrix->RefineCostPerRow();

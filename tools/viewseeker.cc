@@ -35,13 +35,6 @@
 ///                         simulated requests; 0 = unbounded)
 ///                        [--no-admission]  (disable the adaptive AIMD
 ///                         admission limiter; static queue bounds only)
-///                        [--brownout-deadline-ms=50]  (serve degraded
-///                         instead of shedding when the remaining
-///                         deadline is below this)
-///                        [--degraded-alpha=0.25]  (sample rate for
-///                         brownout session builds; 1.0 = always exact)
-///                        [--heal-interval=0.5]  (background healer
-///                         cadence for degraded sessions; <= 0 off)
 ///                        [--build-info]  (print build provenance, exit)
 ///                        (JSON-over-HTTP session server; see
 ///                         docs/ARCHITECTURE.md "Serving" for the protocol.
@@ -491,9 +484,7 @@ int CmdServe(const Args& args) {
                          "slo-ms", "slo-window", "wide-events-out",
                          "wide-event-sample", "shard-name",
                          "simulate-service-ms", "simulate-cores",
-                         "no-admission", "brownout-deadline-ms",
-                         "degraded-alpha", "heal-interval",
-                         "build-info"});
+                         "no-admission", "build-info"});
 
   if (args.GetBool("build-info")) {
     std::printf("%s\n", BuildInfoLine().c_str());
@@ -516,8 +507,6 @@ int CmdServe(const Args& args) {
   manager_options.snapshot_every_labels =
       static_cast<size_t>(args.GetInt("snapshot-every", 128));
   manager_options.durability_fsync = !args.GetBool("no-fsync");
-  manager_options.degraded_sample_rate = args.GetDouble("degraded-alpha", 0.25);
-  manager_options.heal_interval_seconds = args.GetDouble("heal-interval", 0.5);
   serve::SessionManager manager(manager_options, args.Get("table"));
   if (!args.Get("table").empty()) {
     Status preload = manager.PreloadDefaultTable();
@@ -535,14 +524,11 @@ int CmdServe(const Args& args) {
                 static_cast<unsigned long long>(d.quarantined));
   }
   manager.StartReaper();
-  manager.StartHealer();
 
   serve::ServeAppOptions app_options;
   // The serve tool defaults the adaptive limiter ON (the embedded-library
   // default is off); --no-admission restores the static policy.
   app_options.admission_enabled = !args.GetBool("no-admission");
-  app_options.brownout_deadline_ms =
-      args.GetDouble("brownout-deadline-ms", 50.0);
   app_options.shard_name = args.Get("shard-name");
   app_options.simulate_service_ms = args.GetDouble("simulate-service-ms", 0.0);
   app_options.simulate_cores = static_cast<int>(args.GetInt("simulate-cores", 0));
@@ -568,8 +554,7 @@ int CmdServe(const Args& args) {
       "\"session_ttl_seconds\":%.1f,"
       "\"durability\":%s,\"slow_request_ms\":%.1f,\"slo_budget_ms\":%.1f,"
       "\"slo_window_seconds\":%.1f,\"wide_event_sample\":%llu,"
-      "\"admission\":%s,\"brownout_deadline_ms\":%.1f,"
-      "\"degraded_alpha\":%.2f,\"heal_interval_seconds\":%.2f}",
+      "\"admission\":%s}",
       serve::JsonQuote(args.Get("table")).c_str(),
       serve::JsonQuote(app_options.shard_name).c_str(),
       static_cast<long long>(args.GetInt("max-sessions", 256)),
@@ -578,10 +563,7 @@ int CmdServe(const Args& args) {
       app_options.slow_request_ms, app_options.slo_budget_ms,
       app_options.slo_window_seconds,
       static_cast<unsigned long long>(app_options.wide_event_sample),
-      app_options.admission_enabled ? "true" : "false",
-      app_options.brownout_deadline_ms,
-      manager_options.degraded_sample_rate,
-      manager_options.heal_interval_seconds);
+      app_options.admission_enabled ? "true" : "false");
   serve::ServeApp app(&manager, app_options);
 
   serve::HttpServerOptions server_options;

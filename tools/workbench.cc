@@ -6,9 +6,9 @@
 ///             [--ledger-out=F] [--dry-run]
 ///
 /// --deadline-ms stamps every request with X-Deadline-Ms so the server
-/// (and each router hop) can fast-fail or brown out work that cannot
-/// finish in time; resulting 504s count as backpressure, and degraded
-/// (X-Quality) completions plus budget-suppressed retries are reported.
+/// (and each router hop) can fast-fail work that cannot finish in time;
+/// resulting 504s count as backpressure, and budget-suppressed retries
+/// are reported.
 ///
 /// Loads a declarative workload spec (see src/workload/spec.h for the
 /// schema), compiles it into a deterministic plan — session arrival times,
