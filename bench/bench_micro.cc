@@ -15,12 +15,13 @@
 ///       feature-matrix build at N rows (default 1M): default fast path
 ///       (kernels + shared scans) against the paper prototype's per-view
 ///       scalar execution model, with the shared-scan scalar oracle
-///       reported alongside, and an exact build over a ~9% range box
-///       (feature_build_selective, ungated) against that oracle.  Writes a
-///       JSON report and exits nonzero when the gated build speedup falls
-///       below --min-speedup — CI runs this with --min-speedup=4 as a
-///       smoke gate, and the committed BENCH_PR9.json is regenerated the
-///       same way (docs/TESTING.md).
+///       reported alongside, an exact build over a ~9% range box
+///       (feature_build_selective, ungated) against that oracle, and the
+///       box's filter alone (select_box, ungated: selected rows and ms).
+///       Writes a JSON report and exits nonzero when the gated build
+///       speedup falls below --min-speedup — CI runs this with
+///       --min-speedup=4 as a smoke gate, and the committed BENCH_PR9.json
+///       is regenerated the same way (docs/TESTING.md).
 
 #include <benchmark/benchmark.h>
 
@@ -563,14 +564,22 @@ int RunKernelGate(int argc, char** argv) {
   // so the target passes read scattered rows.  Default path against the
   // shared-scan scalar oracle, each on an empty memo; the filled-memo
   // build (references served, target passes only) is disclosed beside it.
-  auto box_or = vs::data::SelectRows(
-      table, vs::data::And({vs::data::Between("d0", 0.2, 0.5),
-                            vs::data::Between("d1", 0.4, 0.7)}));
+  const vs::data::PredicatePtr box_filter =
+      vs::data::And({vs::data::Between("d0", 0.2, 0.5),
+                     vs::data::Between("d1", 0.4, 0.7)});
+  auto box_or = vs::data::SelectRows(table, box_filter);
   if (!box_or.ok()) {
     std::fprintf(stderr, "select: %s\n", box_or.status().ToString().c_str());
     return 1;
   }
   const vs::data::SelectionVector& box = *box_or;
+  // The filter layer on its own (ungated): the box's two-BETWEEN
+  // conjunction, the first conjunct scanning the table and the second
+  // testing only its survivors.
+  const double select_box_seconds = BestOf(config.repeats, [&] {
+    auto selected = vs::data::SelectRows(table, box_filter);
+    benchmark::DoNotOptimize(selected);
+  });
   auto box_build = [&](const vs::data::Table& over, bool use_kernels) {
     vs::core::FeatureMatrixOptions options;
     options.use_kernels = use_kernels;
@@ -604,6 +613,8 @@ int RunKernelGate(int argc, char** argv) {
   print_row(build_vs_shared);
   print_row(build);
   print_row(selective);
+  std::printf("%-24s %14zu rows %9.3f ms  (ungated)\n", "select_box",
+              box.size(), select_box_seconds * 1e3);
   std::printf(
       "%-24s %14s %14.3e %8.2fx  (filled memo vs empty memo, ungated)\n",
       "feature_matrix_build_memo", "",
@@ -643,9 +654,12 @@ int RunKernelGate(int argc, char** argv) {
   json += vs::StrFormat(
       "  \"feature_build_selective\": {\"selected_rows\": %zu, "
       "\"scalar_shared_seconds\": %.3f, \"kernel_seconds\": %.3f, "
-      "\"speedup_vs_shared\": %.3f, \"kernel_filled_memo_seconds\": %.3f}\n",
+      "\"speedup_vs_shared\": %.3f, \"kernel_filled_memo_seconds\": %.3f},\n",
       box.size(), selective.scalar_seconds, selective.kernel_seconds,
       selective.speedup(), selective_filled_memo_seconds);
+  json += vs::StrFormat(
+      "  \"select_box\": {\"selected_rows\": %zu, \"ms\": %.3f}\n",
+      box.size(), select_box_seconds * 1e3);
   json += "}\n";
 
   if (!config.json_out.empty()) {

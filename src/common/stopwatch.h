@@ -66,15 +66,6 @@ class Deadline {
     return d;
   }
 
-  /// A deadline bounded by both \p units work units and \p seconds of
-  /// wall clock — whichever exhausts first.
-  static Deadline AfterUnitsAndSeconds(int64_t units, double seconds) {
-    Deadline d = AfterSeconds(seconds);
-    d.has_units_ = true;
-    d.units_left_ = units;
-    return d;
-  }
-
   /// Consumes \p n work units (no effect in wall-clock mode).
   void Charge(int64_t n = 1) {
     if (has_units_) units_left_ -= n;

@@ -84,7 +84,37 @@ vs::Result<DeviationDistances> FusedDeviationDistances(
   return out;
 }
 
+vs::Result<MeasureFeatures> ComputeMeasureFeatures(
+    const data::GroupByResult& target, const data::GroupByResult& reference) {
+  MeasureFeatures out;
+  out.usability = stats::UsabilityFromCounts(target.counts());
+  VS_ASSIGN_OR_RETURN(out.accuracy,
+                      stats::AccuracyFromMoments(target.sums(),
+                                                 target.sumsqs(),
+                                                 target.counts()));
+
+  // P-value semantics mirror the scalar registry: target counts tested
+  // against the reference count distribution; degenerate targets carry no
+  // statistical evidence and score 0.
+  const std::vector<int64_t>& reference_counts = reference.counts();
+  std::vector<double> ref_counts(reference_counts.size());
+  for (size_t b = 0; b < ref_counts.size(); ++b) {
+    ref_counts[b] = static_cast<double>(reference_counts[b]);
+  }
+  VS_ASSIGN_OR_RETURN(stats::Distribution expected,
+                      stats::Normalize(ref_counts));
+  auto test = stats::ChiSquareGoodnessOfFit(target.counts(), expected);
+  if (!test.ok()) {
+    if (!test.status().IsFailedPrecondition()) return test.status();
+    out.p_value = 0.0;
+  } else {
+    out.p_value = 1.0 - test->p_value;
+  }
+  return out;
+}
+
 vs::Status ComputeBuiltinFeatures(const ViewMaterialization& view,
+                                  const MeasureFeatures& measure,
                                   double* out) {
   VS_ASSIGN_OR_RETURN(
       DeviationDistances deviation,
@@ -94,35 +124,9 @@ vs::Status ComputeBuiltinFeatures(const ViewMaterialization& view,
   out[static_cast<int>(UtilityFeature::kL1)] = deviation.l1;
   out[static_cast<int>(UtilityFeature::kL2)] = deviation.l2;
   out[static_cast<int>(UtilityFeature::kMaxDiff)] = deviation.max_diff;
-
-  out[static_cast<int>(UtilityFeature::kUsability)] =
-      stats::UsabilityFromCounts(view.target.counts);
-
-  stats::BinMoments moments;
-  moments.sum = view.target.sums;
-  moments.sumsq = view.target.sumsqs;
-  moments.count = view.target.counts;
-  VS_ASSIGN_OR_RETURN(out[static_cast<int>(UtilityFeature::kAccuracy)],
-                      stats::AccuracyFromMoments(moments));
-
-  // P-value semantics mirror the scalar registry: target counts tested
-  // against the reference count distribution; degenerate targets carry no
-  // statistical evidence and score 0.
-  std::vector<double> ref_counts(view.reference.counts.size());
-  for (size_t b = 0; b < ref_counts.size(); ++b) {
-    ref_counts[b] = static_cast<double>(view.reference.counts[b]);
-  }
-  VS_ASSIGN_OR_RETURN(stats::Distribution expected,
-                      stats::Normalize(ref_counts));
-  auto test = stats::ChiSquareGoodnessOfFit(view.target.counts, expected);
-  if (!test.ok()) {
-    if (test.status().IsFailedPrecondition()) {
-      out[static_cast<int>(UtilityFeature::kPValue)] = 0.0;
-      return vs::Status::OK();
-    }
-    return test.status();
-  }
-  out[static_cast<int>(UtilityFeature::kPValue)] = 1.0 - test->p_value;
+  out[static_cast<int>(UtilityFeature::kUsability)] = measure.usability;
+  out[static_cast<int>(UtilityFeature::kAccuracy)] = measure.accuracy;
+  out[static_cast<int>(UtilityFeature::kPValue)] = measure.p_value;
   return vs::Status::OK();
 }
 

@@ -20,6 +20,11 @@
 /// Usability, Accuracy and P-value are not tight loops over aligned
 /// pairs; they delegate to the same stats:: routines the scalar registry
 /// uses, so those three features stay bit-identical by construction.
+/// They read only the target's per-bin counts and moments and the
+/// reference's counts — never the aggregate values — so every view over
+/// one (target grid, reference grid) pair, i.e. the aggregate views of one
+/// (dimension, measure), shares them: ComputeMeasureFeatures evaluates
+/// them once for such a pair.
 
 #include "common/result.h"
 #include "core/view_data.h"
@@ -42,11 +47,26 @@ vs::Result<DeviationDistances> FusedDeviationDistances(
     const stats::Distribution& p, const stats::Distribution& q,
     double kl_smoothing = 1e-6);
 
+/// The three built-in features computed from counts and moments.
+struct MeasureFeatures {
+  double usability = 0.0;
+  double accuracy = 0.0;
+  double p_value = 0.0;
+};
+
+/// Usability and Accuracy of \p target's counts and moments, and P-value
+/// of its counts against \p reference's normalized count distribution.
+/// Semantics (including the P-value's degenerate-target -> 0 rule) match
+/// the scalar registry functions exactly, bit for bit.
+vs::Result<MeasureFeatures> ComputeMeasureFeatures(
+    const data::GroupByResult& target, const data::GroupByResult& reference);
+
 /// Evaluates all eight built-in features of \p view into
-/// \p out[0..kNumBuiltinFeatures), in UtilityFeature order.  Semantics
-/// (including the P-value's degenerate-target -> 0 rule) match the
-/// scalar registry functions exactly.
+/// \p out[0..kNumBuiltinFeatures), in UtilityFeature order: the deviation
+/// family by one fused pass, the other three from \p measure, which must
+/// be ComputeMeasureFeatures(view.target, view.reference).
 vs::Status ComputeBuiltinFeatures(const ViewMaterialization& view,
+                                  const MeasureFeatures& measure,
                                   double* out);
 
 }  // namespace vs::core

@@ -1,3 +1,20 @@
+/// \file feature_matrix.cc
+/// \brief Feature-matrix builds and refinement over shared group scans.
+///
+/// Build and RefineRows materialize views one (dimension, bin count) group
+/// at a time through one helper, MaterializeGroup: one target batch and one
+/// reference batch per group (data/groupby.h), then the features of each
+/// view.  The batches hand every aggregate view of a measure the same
+/// immutable moment grid, so on the kernel path Usability, Accuracy and
+/// P-value — which read only counts and moments — are computed once per
+/// (target grid, reference grid) pair, i.e. once per (dimension, measure),
+/// together with P-value's normalized reference count distribution.  The
+/// pair is keyed by grid, not by dimension, because a measure with null
+/// cells has its own counts.  KL/EMD/L1/L2/MAX_DIFF and custom registered
+/// features still run per view, and the scalar oracle path
+/// (use_kernels = false) keeps per-view ComputeAll.  Either way the values
+/// are bit-identical.
+
 #include "core/feature_matrix.h"
 
 #include <algorithm>
@@ -9,6 +26,7 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "common/threadpool.h"
+#include "core/feature_kernels.h"
 #include "data/sampler.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -67,6 +85,78 @@ struct BuildMetrics {
     return m;
   }
 };
+
+/// Where one group's target and reference passes read.
+struct GroupPasses {
+  /// Target measures gathered over the target selection, or null to read
+  /// them in place over \p target.
+  const data::GatheredMeasures* gathered = nullptr;
+  const data::SelectionVector* target = nullptr;
+  const data::SelectionVector* reference = nullptr;  ///< nullptr = all rows
+};
+
+/// Materializes the views \p members of \p views (one dimension and bin
+/// count) from one target and one reference batch and writes each view's
+/// features into its row of \p raw.  With \p share_measure_features (the
+/// kernel path with a registry that fuses the built-ins) the measure-level
+/// features are computed once per (target grid, reference grid) pair.
+/// When \p feature_seconds is set it observes one sample per view: the
+/// view's ComputeAll, plus the measure-level features for the first view
+/// of each pair.
+vs::Status MaterializeGroup(const data::GroupByExecutor& executor,
+                            const std::vector<ViewSpec>& views,
+                            const std::vector<size_t>& members,
+                            const GroupPasses& passes,
+                            const UtilityFeatureRegistry& registry,
+                            bool share_measure_features, ml::Matrix* raw,
+                            obs::Histogram* feature_seconds) {
+  std::vector<data::GroupBySpec> specs;
+  specs.reserve(members.size());
+  for (size_t i : members) specs.push_back(views[i].ToGroupBySpec());
+  VS_ASSIGN_OR_RETURN(std::vector<data::GroupByResult> targets,
+                      passes.gathered != nullptr
+                          ? executor.ExecuteBatch(specs, *passes.gathered)
+                          : executor.ExecuteBatch(specs, passes.target));
+  VS_ASSIGN_OR_RETURN(std::vector<data::GroupByResult> references,
+                      executor.ExecuteBatch(specs, passes.reference));
+
+  using GridPair = std::pair<std::shared_ptr<const data::KernelGrid>,
+                             std::shared_ptr<const data::KernelGrid>>;
+  std::vector<std::pair<GridPair, MeasureFeatures>> measure_features;
+  for (size_t k = 0; k < members.size(); ++k) {
+    ViewMaterialization mat;
+    mat.target = std::move(targets[k]);
+    mat.reference = std::move(references[k]);
+    VS_ASSIGN_OR_RETURN(mat.target_dist,
+                        stats::Normalize(mat.target.values));
+    VS_ASSIGN_OR_RETURN(mat.reference_dist,
+                        stats::Normalize(mat.reference.values));
+    Stopwatch feature_clock;
+    ml::Vector features;
+    if (share_measure_features) {
+      const GridPair grids(mat.target.moments, mat.reference.moments);
+      auto it = std::find_if(
+          measure_features.begin(), measure_features.end(),
+          [&grids](const auto& entry) { return entry.first == grids; });
+      if (it == measure_features.end()) {
+        VS_ASSIGN_OR_RETURN(
+            MeasureFeatures measure,
+            ComputeMeasureFeatures(mat.target, mat.reference));
+        it = measure_features.emplace(it, grids, measure);
+      }
+      VS_ASSIGN_OR_RETURN(features, registry.ComputeAll(mat, it->second));
+    } else {
+      VS_ASSIGN_OR_RETURN(features, registry.ComputeAll(mat));
+    }
+    if (feature_seconds != nullptr) {
+      feature_seconds->Observe(feature_clock.ElapsedSeconds());
+    }
+    for (size_t j = 0; j < features.size(); ++j) {
+      (*raw)(members[k], j) = features[j];
+    }
+  }
+  return vs::Status::OK();
+}
 
 }  // namespace
 
@@ -173,38 +263,19 @@ vs::Result<FeatureMatrix> FeatureMatrix::Build(
                         executor.GatherMeasures(measures, *target_sel));
   }
 
+  GroupPasses passes;
+  passes.gathered = target_measures ? &*target_measures : nullptr;
+  passes.target = target_sel;
+  passes.reference = ref_sel;
+  const bool share_measure_features =
+      options.use_kernels && registry->fuses_builtins();
   auto compute_group = [&](size_t g) -> vs::Status {
     const std::vector<size_t>& members = groups[g];
     Stopwatch group_clock;
-    std::vector<data::GroupBySpec> specs;
-    specs.reserve(members.size());
-    for (size_t i : members) {
-      specs.push_back(imm->views[i].ToGroupBySpec());
-    }
-    VS_ASSIGN_OR_RETURN(std::vector<data::GroupByResult> targets,
-                        target_measures
-                            ? executor.ExecuteBatch(specs, *target_measures)
-                            : executor.ExecuteBatch(specs, target_sel));
-    VS_ASSIGN_OR_RETURN(std::vector<data::GroupByResult> references,
-                        executor.ExecuteBatch(specs, ref_sel));
-    double feature_seconds = 0.0;
-    for (size_t k = 0; k < members.size(); ++k) {
-      ViewMaterialization mat;
-      mat.target = std::move(targets[k]);
-      mat.reference = std::move(references[k]);
-      VS_ASSIGN_OR_RETURN(mat.target_dist,
-                          stats::Normalize(mat.target.values));
-      VS_ASSIGN_OR_RETURN(mat.reference_dist,
-                          stats::Normalize(mat.reference.values));
-      Stopwatch feature_clock;
-      VS_ASSIGN_OR_RETURN(ml::Vector features, registry->ComputeAll(mat));
-      if (observe) feature_seconds = feature_clock.ElapsedSeconds();
-      const size_t row = members[k];
-      for (size_t j = 0; j < features.size(); ++j) {
-        state->raw(row, j) = features[j];
-      }
-      if (observe) metrics.feature_seconds->Observe(feature_seconds);
-    }
+    VS_RETURN_IF_ERROR(MaterializeGroup(
+        executor, imm->views, members, passes, *registry,
+        share_measure_features, &state->raw,
+        observe ? metrics.feature_seconds : nullptr));
     if (observe) {
       // Shared scans make the per-view cost the group cost amortized over
       // its members; one observation per view keeps the histogram count
@@ -318,27 +389,15 @@ vs::Status FeatureMatrix::RefineRows(
   data::GroupByExecutorOptions executor_options;
   executor_options.use_kernel = use_kernels_;
   data::GroupByExecutor executor(table_, executor_options);
+  GroupPasses passes;
+  passes.target = &imm_->query_selection;
+  const bool share_measure_features =
+      use_kernels_ && registry_->fuses_builtins();
   for (const auto& [key, members] : groups) {
-    std::vector<data::GroupBySpec> specs;
-    specs.reserve(members.size());
-    for (size_t i : members) specs.push_back(views[i].ToGroupBySpec());
-    VS_ASSIGN_OR_RETURN(std::vector<data::GroupByResult> targets,
-                        executor.ExecuteBatch(specs, &imm_->query_selection));
-    VS_ASSIGN_OR_RETURN(std::vector<data::GroupByResult> references,
-                        executor.ExecuteBatch(specs, nullptr));
-    for (size_t k = 0; k < members.size(); ++k) {
-      ViewMaterialization mat;
-      mat.target = std::move(targets[k]);
-      mat.reference = std::move(references[k]);
-      VS_ASSIGN_OR_RETURN(mat.target_dist,
-                          stats::Normalize(mat.target.values));
-      VS_ASSIGN_OR_RETURN(mat.reference_dist,
-                          stats::Normalize(mat.reference.values));
-      VS_ASSIGN_OR_RETURN(ml::Vector features, registry_->ComputeAll(mat));
-      const size_t row = members[k];
-      for (size_t j = 0; j < features.size(); ++j) {
-        state.raw(row, j) = features[j];
-      }
+    VS_RETURN_IF_ERROR(MaterializeGroup(executor, views, members, passes,
+                                        *registry_, share_measure_features,
+                                        &state.raw, nullptr));
+    for (size_t row : members) {
       state.exact[row] = true;
       ++state.num_exact;
       BuildMetrics::Get().rows_refined->Increment();

@@ -51,13 +51,14 @@ vs::Result<double> PValueFeature(const ViewMaterialization& view) {
   // the whole dataset does (the reference view's count distribution),
   // matching "larger = more interesting".  Degenerate targets (no rows /
   // single effective bin) carry no statistical evidence: feature 0.
-  std::vector<double> ref_counts(view.reference.counts.size());
+  const std::vector<int64_t>& reference_counts = view.reference.counts();
+  std::vector<double> ref_counts(reference_counts.size());
   for (size_t b = 0; b < ref_counts.size(); ++b) {
-    ref_counts[b] = static_cast<double>(view.reference.counts[b]);
+    ref_counts[b] = static_cast<double>(reference_counts[b]);
   }
   auto expected = stats::Normalize(ref_counts);
   if (!expected.ok()) return expected.status();
-  auto test = stats::ChiSquareGoodnessOfFit(view.target.counts, *expected);
+  auto test = stats::ChiSquareGoodnessOfFit(view.target.counts(), *expected);
   if (!test.ok()) {
     if (test.status().IsFailedPrecondition()) return 0.0;
     return test.status();
@@ -66,11 +67,8 @@ vs::Result<double> PValueFeature(const ViewMaterialization& view) {
 }
 
 vs::Result<double> AccuracyFeature(const ViewMaterialization& view) {
-  stats::BinMoments moments;
-  moments.sum = view.target.sums;
-  moments.sumsq = view.target.sumsqs;
-  moments.count = view.target.counts;
-  return stats::AccuracyFromMoments(moments);
+  return stats::AccuracyFromMoments(view.target.sums(), view.target.sumsqs(),
+                                    view.target.counts());
 }
 
 }  // namespace
@@ -93,7 +91,7 @@ UtilityFeatureRegistry UtilityFeatureRegistry::Default() {
                           [](const ViewMaterialization& view) {
                             return vs::Result<double>(
                                 stats::UsabilityFromCounts(
-                                    view.target.counts));
+                                    view.target.counts()));
                           });
   (void)registry.Register(UtilityFeatureName(UtilityFeature::kAccuracy),
                           AccuracyFeature);
@@ -155,14 +153,27 @@ vs::Result<size_t> UtilityFeatureRegistry::IndexOf(
 
 vs::Result<ml::Vector> UtilityFeatureRegistry::ComputeAll(
     const ViewMaterialization& view) const {
-  ml::Vector out(fns_.size(), 0.0);
-  size_t start = 0;
-  if (builtin_prefix_ && use_kernels_ &&
-      fns_.size() >= static_cast<size_t>(kNumBuiltinFeatures)) {
-    VS_RETURN_IF_ERROR(ComputeBuiltinFeatures(view, out.data()));
-    start = static_cast<size_t>(kNumBuiltinFeatures);
+  if (fuses_builtins()) {
+    VS_ASSIGN_OR_RETURN(MeasureFeatures measure,
+                        ComputeMeasureFeatures(view.target, view.reference));
+    return ComputeAll(view, measure);
   }
-  for (size_t i = start; i < fns_.size(); ++i) {
+  ml::Vector out(fns_.size(), 0.0);
+  for (size_t i = 0; i < fns_.size(); ++i) {
+    VS_ASSIGN_OR_RETURN(out[i], fns_[i](view));
+  }
+  return out;
+}
+
+vs::Result<ml::Vector> UtilityFeatureRegistry::ComputeAll(
+    const ViewMaterialization& view, const MeasureFeatures& measure) const {
+  if (!fuses_builtins()) {
+    return vs::Status::FailedPrecondition(
+        "shared measure features need the fused built-in prefix");
+  }
+  ml::Vector out(fns_.size(), 0.0);
+  VS_RETURN_IF_ERROR(ComputeBuiltinFeatures(view, measure, out.data()));
+  for (size_t i = kNumBuiltinFeatures; i < fns_.size(); ++i) {
     VS_ASSIGN_OR_RETURN(out[i], fns_[i](view));
   }
   return out;

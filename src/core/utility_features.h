@@ -44,6 +44,8 @@ std::string UtilityFeatureName(UtilityFeature feature);
 /// Parses a (case-insensitive) built-in feature name into its index.
 vs::Result<int> ParseUtilityFeature(const std::string& name);
 
+struct MeasureFeatures;  // core/feature_kernels.h
+
 /// \brief Named collection of feature functions evaluated per view.
 ///
 /// The default registry holds the paper's eight; Register() appends custom
@@ -82,6 +84,22 @@ class UtilityFeatureRegistry {
   /// differential equivalence tests compare against.  Custom features
   /// registered on top are always evaluated through their own function.
   vs::Result<ml::Vector> ComputeAll(const ViewMaterialization& view) const;
+
+  /// ComputeAll on the fused path with the built-in Usability, Accuracy
+  /// and P-value taken from \p measure, which must be
+  /// ComputeMeasureFeatures(view.target, view.reference) — so a caller
+  /// holding many views over one (target grid, reference grid) pair
+  /// computes them once.  Values are bit-identical to ComputeAll(view).
+  /// FailedPrecondition unless fuses_builtins().
+  vs::Result<ml::Vector> ComputeAll(const ViewMaterialization& view,
+                                    const MeasureFeatures& measure) const;
+
+  /// True when ComputeAll evaluates the built-in prefix through the fused
+  /// kernels: a Default() registry with kernels on.
+  bool fuses_builtins() const {
+    return builtin_prefix_ && use_kernels_ &&
+           fns_.size() >= static_cast<size_t>(kNumBuiltinFeatures);
+  }
 
   /// Toggles the fused-kernel fast path for the built-in prefix (only
   /// meaningful on registries created by Default()).

@@ -49,11 +49,88 @@ LabelsPtr NumericBinLabels(double lo, double width, int32_t num_bins) {
   return labels;
 }
 
+/// The dictionary of categorical \p dimension as bin labels: one vector
+/// per dimension, memoized in the table memo when the table has one.
+LabelsPtr CategoricalLabels(const Table& table, const std::string& dimension,
+                            const CategoricalColumn& cat) {
+  TableMemo* memo = table.memo();
+  if (memo != nullptr) {
+    if (LabelsPtr found = memo->FindLabels(dimension)) return found;
+  }
+  auto labels = std::make_shared<const std::vector<std::string>>(
+      cat.dictionary());
+  return memo != nullptr ? memo->PublishLabels(dimension, std::move(labels))
+                         : labels;
+}
+
+/// The scalar fold's accumulators as one immutable grid.
+std::shared_ptr<const KernelGrid> GridOf(
+    const std::vector<AggregateAccumulator>& groups) {
+  auto grid = std::make_shared<KernelGrid>();
+  grid->Reset(groups.size());
+  for (size_t b = 0; b < groups.size(); ++b) {
+    grid->counts[b] = groups[b].count;
+    grid->sums[b] = groups[b].sum;
+    grid->sumsqs[b] = groups[b].sumsq;
+    grid->mins[b] = groups[b].min;
+    grid->maxs[b] = groups[b].max;
+  }
+  return grid;
+}
+
+/// One result over \p grid: the values finalized for \p func, the grid
+/// itself shared, not copied.
+GroupByResult FinalizeResult(std::shared_ptr<const KernelGrid> grid,
+                             AggregateFunction func, LabelsPtr labels,
+                             int64_t rows_seen) {
+  GroupByResult result;
+  result.bin_labels = std::move(labels);
+  result.rows_seen = rows_seen;
+  const size_t nb = grid->size();
+  result.values.resize(nb);
+  for (size_t b = 0; b < nb; ++b) {
+    result.values[b] = FinalizeKernelSlot(*grid, b, func);
+  }
+  result.moments = std::move(grid);
+  return result;
+}
+
+/// The distinct measures of \p specs in first-seen order; \p measure_of_spec
+/// maps each spec to its measure's index.
+std::vector<std::string> DistinctMeasures(
+    const std::vector<GroupBySpec>& specs,
+    std::vector<size_t>* measure_of_spec) {
+  std::vector<std::string> measures;
+  measure_of_spec->resize(specs.size());
+  for (size_t s = 0; s < specs.size(); ++s) {
+    const auto it =
+        std::find(measures.begin(), measures.end(), specs[s].measure);
+    (*measure_of_spec)[s] = static_cast<size_t>(it - measures.begin());
+    if (it == measures.end()) measures.push_back(specs[s].measure);
+  }
+  return measures;
+}
+
 }  // namespace
 
 const std::vector<std::string>& GroupByResult::labels() const {
   static const std::vector<std::string> kNoLabels;
   return bin_labels != nullptr ? *bin_labels : kNoLabels;
+}
+
+const std::vector<int64_t>& GroupByResult::counts() const {
+  static const std::vector<int64_t> kNoCounts;
+  return moments != nullptr ? moments->counts : kNoCounts;
+}
+
+const std::vector<double>& GroupByResult::sums() const {
+  static const std::vector<double> kNoSums;
+  return moments != nullptr ? moments->sums : kNoSums;
+}
+
+const std::vector<double>& GroupByResult::sumsqs() const {
+  static const std::vector<double> kNoSumsqs;
+  return moments != nullptr ? moments->sumsqs : kNoSumsqs;
 }
 
 std::string GroupBySpec::ToString() const {
@@ -147,8 +224,9 @@ vs::Result<GroupByResult> GroupByExecutor::Execute(
                       NumericColumnView::Wrap(measure_col.get()));
 
   const auto* cat = dynamic_cast<const CategoricalColumn*>(dim_col.get());
-  GroupByResult result;
   std::vector<AggregateAccumulator> groups;
+  LabelsPtr bin_labels;
+  int64_t rows_seen = 0;
 
   auto for_each_row = [&](auto&& fn) -> vs::Status {
     if (selection != nullptr) {
@@ -158,11 +236,11 @@ vs::Result<GroupByResult> GroupByExecutor::Execute(
         }
         fn(r);
       }
-      result.rows_seen = static_cast<int64_t>(selection->size());
+      rows_seen = static_cast<int64_t>(selection->size());
     } else {
       const size_t n = table_->num_rows();
       for (size_t r = 0; r < n; ++r) fn(static_cast<uint32_t>(r));
-      result.rows_seen = static_cast<int64_t>(n);
+      rows_seen = static_cast<int64_t>(n);
     }
     return vs::Status::OK();
   };
@@ -180,8 +258,7 @@ vs::Result<GroupByResult> GroupByExecutor::Execute(
       if (code == CategoricalColumn::kNullCode || measure.IsNull(r)) return;
       groups[static_cast<size_t>(code)].Add(measure.at(r));
     }));
-    result.bin_labels =
-        std::make_shared<const std::vector<std::string>>(cat->dictionary());
+    bin_labels = CategoricalLabels(*table_, spec.dimension, *cat);
   } else {
     VS_ASSIGN_OR_RETURN(NumericColumnView dim,
                         NumericColumnView::Wrap(dim_col.get()));
@@ -197,20 +274,10 @@ vs::Result<GroupByResult> GroupByExecutor::Execute(
       if (b >= nb) b = nb - 1;  // max value lands in the last bin
       groups[static_cast<size_t>(b)].Add(measure.at(r));
     }));
-    result.bin_labels = NumericBinLabels(bins.lo, bins.width, nb);
+    bin_labels = NumericBinLabels(bins.lo, bins.width, nb);
   }
-
-  result.values.reserve(groups.size());
-  result.counts.reserve(groups.size());
-  result.sums.reserve(groups.size());
-  result.sumsqs.reserve(groups.size());
-  for (const AggregateAccumulator& acc : groups) {
-    result.values.push_back(acc.Finalize(spec.func));
-    result.counts.push_back(acc.count);
-    result.sums.push_back(acc.sum);
-    result.sumsqs.push_back(acc.sumsq);
-  }
-  return result;
+  return FinalizeResult(GridOf(groups), spec.func, std::move(bin_labels),
+                        rows_seen);
 }
 
 namespace {
@@ -261,19 +328,9 @@ vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatch(
   }
 
   // Distinct measures, decoded once per row.
-  std::vector<std::string> measures;
-  std::vector<size_t> measure_of_spec(specs.size());
-  for (size_t s = 0; s < specs.size(); ++s) {
-    size_t index = measures.size();
-    for (size_t m = 0; m < measures.size(); ++m) {
-      if (measures[m] == specs[s].measure) {
-        index = m;
-        break;
-      }
-    }
-    if (index == measures.size()) measures.push_back(specs[s].measure);
-    measure_of_spec[s] = index;
-  }
+  std::vector<size_t> measure_of_spec;
+  const std::vector<std::string> measures =
+      DistinctMeasures(specs, &measure_of_spec);
   std::vector<NumericColumnView> measure_views;
   measure_views.reserve(measures.size());
   for (const std::string& measure : measures) {
@@ -297,8 +354,7 @@ vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatch(
           "' must use num_bins = 0");
     }
     num_bins = cat->cardinality();
-    bin_labels =
-        std::make_shared<const std::vector<std::string>>(cat->dictionary());
+    bin_labels = CategoricalLabels(*table_, specs[0].dimension, *cat);
     bin_of = [cat](uint32_t r) { return cat->code(r); };
   } else {
     VS_ASSIGN_OR_RETURN(NumericColumnView dim,
@@ -344,25 +400,15 @@ vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatch(
     rows_seen = static_cast<int64_t>(table_->num_rows());
   }
 
-  // Finalize per spec from its measure's grid.
+  // Finalize per spec from its measure's grid, shared by the measure's
+  // specs.
+  std::vector<std::shared_ptr<const KernelGrid>> shared(grids.size());
+  for (size_t m = 0; m < grids.size(); ++m) shared[m] = GridOf(grids[m]);
   std::vector<GroupByResult> results;
   results.reserve(specs.size());
   for (size_t s = 0; s < specs.size(); ++s) {
-    GroupByResult result;
-    result.bin_labels = bin_labels;
-    result.rows_seen = rows_seen;
-    const auto& grid = grids[measure_of_spec[s]];
-    result.values.reserve(grid.size());
-    result.counts.reserve(grid.size());
-    result.sums.reserve(grid.size());
-    result.sumsqs.reserve(grid.size());
-    for (const AggregateAccumulator& acc : grid) {
-      result.values.push_back(acc.Finalize(specs[s].func));
-      result.counts.push_back(acc.count);
-      result.sums.push_back(acc.sum);
-      result.sumsqs.push_back(acc.sumsq);
-    }
-    results.push_back(std::move(result));
+    results.push_back(FinalizeResult(shared[measure_of_spec[s]],
+                                     specs[s].func, bin_labels, rows_seen));
   }
   return results;
 }
@@ -372,19 +418,9 @@ vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatchKernel(
     const GatheredMeasures* gathered) const {
   // Distinct measures, resolved and type-checked once (same validation
   // and messages as the scalar path).
-  std::vector<std::string> measures;
-  std::vector<size_t> measure_of_spec(specs.size());
-  for (size_t s = 0; s < specs.size(); ++s) {
-    size_t index = measures.size();
-    for (size_t m = 0; m < measures.size(); ++m) {
-      if (measures[m] == specs[s].measure) {
-        index = m;
-        break;
-      }
-    }
-    if (index == measures.size()) measures.push_back(specs[s].measure);
-    measure_of_spec[s] = index;
-  }
+  std::vector<size_t> measure_of_spec;
+  const std::vector<std::string> measures =
+      DistinctMeasures(specs, &measure_of_spec);
   std::vector<ColumnPtr> measure_owners;  // keep shared_ptrs alive
   std::vector<const Column*> measure_cols;
   measure_owners.reserve(measures.size());
@@ -410,8 +446,7 @@ vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatchKernel(
           "' must use num_bins = 0");
     }
     num_bins = cat->cardinality();
-    bin_labels =
-        std::make_shared<const std::vector<std::string>>(cat->dictionary());
+    bin_labels = CategoricalLabels(*table_, specs[0].dimension, *cat);
   } else {
     VS_RETURN_IF_ERROR(NumericColumnView::Wrap(dim_col.get()).status());
     VS_ASSIGN_OR_RETURN(
@@ -463,22 +498,14 @@ vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatchKernel(
   const auto rows_seen = static_cast<int64_t>(
       selection != nullptr ? selection->size() : table_->num_rows());
 
+  // Each spec finalizes its values from its measure's grid and shares the
+  // grid itself: the memo's on full-table passes, one fresh grid per
+  // measure otherwise.
   std::vector<GroupByResult> results;
   results.reserve(specs.size());
   for (size_t s = 0; s < specs.size(); ++s) {
-    GroupByResult result;
-    result.bin_labels = bin_labels;
-    result.rows_seen = rows_seen;
-    const KernelGrid& grid = *grids[measure_of_spec[s]];
-    const size_t nb = grid.size();
-    result.values.reserve(nb);
-    result.counts = grid.counts;
-    result.sums = grid.sums;
-    result.sumsqs = grid.sumsqs;
-    for (size_t b = 0; b < nb; ++b) {
-      result.values.push_back(FinalizeKernelSlot(grid, b, specs[s].func));
-    }
-    results.push_back(std::move(result));
+    results.push_back(FinalizeResult(grids[measure_of_spec[s]], specs[s].func,
+                                     bin_labels, rows_seen));
   }
   return results;
 }

@@ -9,10 +9,10 @@
 /// full table — the dictionary for categorical dimensions, full-table
 /// min/max for binned numeric dimensions — so that a target view (evaluated
 /// over a selection) and its reference view (evaluated over all rows) share
-/// identical, aligned bins.  Numeric ranges and, on the kernel path,
-/// full-table grids are memoized in the table's TableMemo
-/// (data/table_memo.h), so executors are cheap to create and any number of
-/// them may run concurrently over one table.
+/// identical, aligned bins.  Numeric ranges, categorical bin labels and,
+/// on the kernel path, full-table grids are memoized in the table's
+/// TableMemo (data/table_memo.h), so executors are cheap to create and any
+/// number of them may run concurrently over one table.
 
 #include <cstdint>
 #include <memory>
@@ -45,18 +45,27 @@ struct GroupBySpec {
 /// and reference results always have the same shape.
 struct GroupByResult {
   /// Label per bin, full-table order; one immutable vector shared by every
-  /// result of a batch.
+  /// result of a batch (and, for a categorical dimension, by every result
+  /// over it: the table memo holds one labels vector per dimension).
   std::shared_ptr<const std::vector<std::string>> bin_labels;
-  std::vector<double> values;           ///< finalized aggregate per bin
-  std::vector<int64_t> counts;          ///< contributing rows per bin
-  std::vector<double> sums;             ///< Σ measure per bin
-  std::vector<double> sumsqs;           ///< Σ measure² per bin
-  int64_t rows_seen = 0;                ///< input rows scanned
+  std::vector<double> values;  ///< finalized aggregate per bin
+  /// The per-bin moments the values were finalized from.  One immutable
+  /// grid is shared by every result of a batch over the same measure, and
+  /// a memo-served full-table result holds the memo's own grid.
+  std::shared_ptr<const KernelGrid> moments;
+  int64_t rows_seen = 0;  ///< input rows scanned
 
   size_t num_bins() const { return values.size(); }
 
   /// The bin labels (empty when none were set).
   const std::vector<std::string>& labels() const;
+
+  /// Contributing rows per bin (empty when no moments were set).
+  const std::vector<int64_t>& counts() const;
+  /// Σ measure per bin.
+  const std::vector<double>& sums() const;
+  /// Σ measure² per bin.
+  const std::vector<double>& sumsqs() const;
 };
 
 /// \brief Execution-path knobs for GroupByExecutor.

@@ -44,6 +44,13 @@
 /// p50 by 14% but raised its round p50/p99 by 13%/16% (7 alternating
 /// pairs), and a gather per RefineRows call slowed traced refinement by 8%.
 ///
+/// Shared grids.  A pass's grids are immutable once it returns.
+/// GroupByExecutor wraps each measure's grid in one shared_ptr and hands
+/// it, uncopied, to every GroupByResult of the batch over that measure
+/// (GroupByResult::moments); a memo-served full-table grid goes to every
+/// caller as is.  A result copies only its finalized values, and the
+/// scalar oracle's accumulators are packed into the same grid type.
+///
 /// Equivalence contract vs the scalar oracle: bin assignment, counts,
 /// mins and maxs are *exact* (integer adds and min/max are associative).
 /// Without lanes each bin sums in row order, so sums and sumsqs are

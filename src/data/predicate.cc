@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <iterator>
+#include <memory>
 
 #include "common/string_util.h"
 
@@ -46,29 +47,69 @@ bool ApplyOp(CompareOp op, int cmp) {
   return false;
 }
 
-/// Calls fn(data, n) on the typed array of a null-free int64 or double
+/// Replaces \p out with every row of the domain for which match(row)
+/// holds, in domain order.  The domain is rows[0, n) when \p rows is set,
+/// else the row ids [0, n).  Branch-free: each row id is written at the
+/// cursor, which advances past it only on a match.  The scratch is left
+/// uninitialized, so only the slots up to the last match are touched, and
+/// the output is allocated once at its exact size.
+template <typename Match>
+void FilterRows(const uint32_t* rows, size_t n, SelectionVector* out,
+                Match match) {
+  std::unique_ptr<uint32_t[]> scratch(new uint32_t[n + 1]);
+  uint32_t* cursor = scratch.get();
+  if (rows == nullptr) {
+    for (size_t i = 0; i < n; ++i) {
+      const auto r = static_cast<uint32_t>(i);
+      *cursor = r;
+      cursor += match(r) ? 1 : 0;
+    }
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t r = rows[i];
+      *cursor = r;
+      cursor += match(r) ? 1 : 0;
+    }
+  }
+  out->assign(scratch.get(), cursor);
+}
+
+/// FilterRows over \p candidates, or over every row of \p table when
+/// \p candidates is null.
+template <typename Match>
+void FilterCandidates(const Table& table, const SelectionVector* candidates,
+                      SelectionVector* out, Match match) {
+  if (candidates == nullptr) {
+    FilterRows(nullptr, table.num_rows(), out, match);
+  } else {
+    FilterRows(candidates->data(), candidates->size(), out, match);
+  }
+}
+
+/// Calls fn(data) on the typed array of a null-free int64 or double
 /// column and returns true; returns false (fn not called) for any other
 /// column, which then takes the null-aware NumericColumnView loop.
 template <typename Fn>
 bool WithNullFreeNumeric(const Column* col, Fn&& fn) {
   if (col->null_count() != 0) return false;
   if (const auto* i64 = dynamic_cast<const Int64Column*>(col)) {
-    fn(i64->data().data(), i64->size());
+    fn(i64->data().data());
     return true;
   }
   if (const auto* f64 = dynamic_cast<const DoubleColumn*>(col)) {
-    fn(f64->data().data(), f64->size());
+    fn(f64->data().data());
     return true;
   }
   return false;
 }
 
-/// out[r] = pred(double(data[r])) for every row, branch-free.
+/// Filters the candidates on pred(double(data[r])), branch-free.
 template <typename T, typename Pred>
-void FillMask(const T* data, size_t n, uint8_t* out, Pred pred) {
-  for (size_t r = 0; r < n; ++r) {
-    out[r] = static_cast<uint8_t>(pred(static_cast<double>(data[r])));
-  }
+void FilterTyped(const Table& table, const SelectionVector* candidates,
+                 const T* data, SelectionVector* out, Pred pred) {
+  FilterCandidates(table, candidates, out, [data, pred](uint32_t r) {
+    return pred(static_cast<double>(data[r]));
+  });
 }
 
 /// The verdict of ApplyOp(op, cmp) with cmp = v < lit ? -1 : v > lit ? 1
@@ -76,24 +117,42 @@ void FillMask(const T* data, size_t n, uint8_t* out, Pred pred) {
 /// value matches no operator, exactly as on the null-aware path (and as
 /// in BETWEEN).
 template <typename T>
-void FillCompareMask(const T* data, size_t n, CompareOp op, double lit,
-                     uint8_t* out) {
+void FilterCompare(const Table& table, const SelectionVector* candidates,
+                   const T* data, CompareOp op, double lit,
+                   SelectionVector* out) {
   switch (op) {
     case CompareOp::kEq:
-      return FillMask(data, n, out,
-                      [lit](double v) { return v == lit; });
+      return FilterTyped(table, candidates, data, out,
+                         [lit](double v) { return v == lit; });
     case CompareOp::kNe:
-      return FillMask(data, n, out,
-                      [lit](double v) { return (v < lit) | (v > lit); });
+      return FilterTyped(table, candidates, data, out,
+                         [lit](double v) { return (v < lit) | (v > lit); });
     case CompareOp::kLt:
-      return FillMask(data, n, out, [lit](double v) { return v < lit; });
+      return FilterTyped(table, candidates, data, out,
+                         [lit](double v) { return v < lit; });
     case CompareOp::kLe:
-      return FillMask(data, n, out, [lit](double v) { return v <= lit; });
+      return FilterTyped(table, candidates, data, out,
+                         [lit](double v) { return v <= lit; });
     case CompareOp::kGt:
-      return FillMask(data, n, out, [lit](double v) { return v > lit; });
+      return FilterTyped(table, candidates, data, out,
+                         [lit](double v) { return v > lit; });
     case CompareOp::kGe:
-      return FillMask(data, n, out, [lit](double v) { return v >= lit; });
+      return FilterTyped(table, candidates, data, out,
+                         [lit](double v) { return v >= lit; });
   }
+}
+
+/// Filters the candidates of categorical \p cat on a per-code verdict
+/// (null codes never match).
+void FilterCodes(const Table& table, const SelectionVector* candidates,
+                 const CategoricalColumn& cat,
+                 const std::vector<uint8_t>& verdict, SelectionVector* out) {
+  const int32_t* codes = cat.codes().data();
+  const uint8_t* match = verdict.data();
+  FilterCandidates(table, candidates, out, [codes, match](uint32_t r) {
+    const int32_t c = codes[r];
+    return c != CategoricalColumn::kNullCode && match[c] != 0;
+  });
 }
 
 class ComparePredicate final : public Predicate {
@@ -101,9 +160,9 @@ class ComparePredicate final : public Predicate {
   ComparePredicate(std::string column, CompareOp op, Value literal)
       : column_(std::move(column)), op_(op), literal_(std::move(literal)) {}
 
-  vs::Status Evaluate(const Table& table,
-                      std::vector<uint8_t>* mask) const override {
-    mask->assign(table.num_rows(), 0);
+  vs::Status Select(const Table& table, const SelectionVector* candidates,
+                    SelectionVector* out) const override {
+    out->clear();
     VS_ASSIGN_OR_RETURN(ColumnPtr col, table.ColumnByName(column_));
     if (literal_.is_null()) {
       return vs::Status::InvalidArgument(
@@ -111,39 +170,23 @@ class ComparePredicate final : public Predicate {
           "null filter instead");
     }
 
-    // Categorical fast path.
     if (const auto* cat = dynamic_cast<const CategoricalColumn*>(col.get())) {
       if (!literal_.is_string()) {
         return vs::Status::InvalidArgument(
             "categorical column '" + column_ + "' compared to non-string");
       }
-      if (op_ == CompareOp::kEq || op_ == CompareOp::kNe) {
-        auto code_result = cat->CodeFor(literal_.str());
-        const int32_t code =
-            code_result.ok() ? *code_result : CategoricalColumn::kNullCode - 1;
-        for (size_t r = 0; r < cat->size(); ++r) {
-          int32_t c = cat->code(r);
-          if (c == CategoricalColumn::kNullCode) continue;
-          const bool eq = (c == code);
-          (*mask)[r] = (op_ == CompareOp::kEq) ? eq : !eq;
-        }
-        return vs::Status::OK();
-      }
-      // Ordering ops: precompute per-code verdicts against the label.
+      // Per-code verdicts against the label: equality by dictionary code,
+      // ordering ops by lexicographic label comparison.
       std::vector<uint8_t> verdict(cat->cardinality());
       for (int32_t c = 0; c < cat->cardinality(); ++c) {
         int cmp = cat->label(c).compare(literal_.str());
         cmp = cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
         verdict[c] = ApplyOp(op_, cmp);
       }
-      for (size_t r = 0; r < cat->size(); ++r) {
-        int32_t c = cat->code(r);
-        if (c != CategoricalColumn::kNullCode) (*mask)[r] = verdict[c];
-      }
+      FilterCodes(table, candidates, *cat, verdict, out);
       return vs::Status::OK();
     }
 
-    // Numeric path.
     double lit = 0.0;
     if (!literal_.AsDouble(&lit)) {
       return vs::Status::InvalidArgument(
@@ -151,18 +194,18 @@ class ComparePredicate final : public Predicate {
     }
     VS_ASSIGN_OR_RETURN(NumericColumnView view,
                         NumericColumnView::Wrap(col.get()));
-    if (WithNullFreeNumeric(col.get(), [&](const auto* data, size_t n) {
-          FillCompareMask(data, n, op_, lit, mask->data());
+    if (WithNullFreeNumeric(col.get(), [&](const auto* data) {
+          FilterCompare(table, candidates, data, op_, lit, out);
         })) {
       return vs::Status::OK();
     }
-    for (size_t r = 0; r < view.size(); ++r) {
-      if (view.IsNull(r)) continue;
+    const CompareOp op = op_;
+    FilterCandidates(table, candidates, out, [&view, op, lit](uint32_t r) {
+      if (view.IsNull(r)) return false;
       const double v = view.at(r);
-      if (std::isnan(v)) continue;  // NaN matches no comparison
-      const int cmp = v < lit ? -1 : (v > lit ? 1 : 0);
-      (*mask)[r] = ApplyOp(op_, cmp);
-    }
+      if (std::isnan(v)) return false;  // NaN matches no comparison
+      return ApplyOp(op, v < lit ? -1 : (v > lit ? 1 : 0));
+    });
     return vs::Status::OK();
   }
 
@@ -181,13 +224,13 @@ class InSetPredicate final : public Predicate {
   InSetPredicate(std::string column, std::vector<Value> values)
       : column_(std::move(column)), values_(std::move(values)) {}
 
-  vs::Status Evaluate(const Table& table,
-                      std::vector<uint8_t>* mask) const override {
-    mask->assign(table.num_rows(), 0);
+  vs::Status Select(const Table& table, const SelectionVector* candidates,
+                    SelectionVector* out) const override {
+    out->clear();
     VS_ASSIGN_OR_RETURN(ColumnPtr col, table.ColumnByName(column_));
 
     if (const auto* cat = dynamic_cast<const CategoricalColumn*>(col.get())) {
-      std::unordered_set<int32_t> codes;
+      std::vector<uint8_t> verdict(cat->cardinality());
       for (const Value& v : values_) {
         if (!v.is_string()) {
           return vs::Status::InvalidArgument(
@@ -195,14 +238,9 @@ class InSetPredicate final : public Predicate {
               "' contains non-string value");
         }
         auto code = cat->CodeFor(v.str());
-        if (code.ok()) codes.insert(*code);
+        if (code.ok()) verdict[*code] = 1;
       }
-      for (size_t r = 0; r < cat->size(); ++r) {
-        int32_t c = cat->code(r);
-        if (c != CategoricalColumn::kNullCode && codes.count(c) != 0) {
-          (*mask)[r] = 1;
-        }
-      }
+      FilterCodes(table, candidates, *cat, verdict, out);
       return vs::Status::OK();
     }
 
@@ -219,16 +257,14 @@ class InSetPredicate final : public Predicate {
     }
     VS_ASSIGN_OR_RETURN(NumericColumnView view,
                         NumericColumnView::Wrap(col.get()));
-    for (size_t r = 0; r < view.size(); ++r) {
-      if (view.IsNull(r)) continue;
+    FilterCandidates(table, candidates, out, [&view, &numeric](uint32_t r) {
+      if (view.IsNull(r)) return false;
       const double v = view.at(r);
       for (double d : numeric) {
-        if (v == d) {
-          (*mask)[r] = 1;
-          break;
-        }
+        if (v == d) return true;
       }
-    }
+      return false;
+    });
     return vs::Status::OK();
   }
 
@@ -249,25 +285,25 @@ class BetweenPredicate final : public Predicate {
   BetweenPredicate(std::string column, double lo, double hi)
       : column_(std::move(column)), lo_(lo), hi_(hi) {}
 
-  vs::Status Evaluate(const Table& table,
-                      std::vector<uint8_t>* mask) const override {
-    mask->assign(table.num_rows(), 0);
+  vs::Status Select(const Table& table, const SelectionVector* candidates,
+                    SelectionVector* out) const override {
+    out->clear();
     VS_ASSIGN_OR_RETURN(ColumnPtr col, table.ColumnByName(column_));
     VS_ASSIGN_OR_RETURN(NumericColumnView view,
                         NumericColumnView::Wrap(col.get()));
     const double lo = lo_;
     const double hi = hi_;
-    if (WithNullFreeNumeric(col.get(), [&](const auto* data, size_t n) {
-          FillMask(data, n, mask->data(),
-                   [lo, hi](double v) { return (v >= lo) & (v < hi); });
+    if (WithNullFreeNumeric(col.get(), [&](const auto* data) {
+          FilterTyped(table, candidates, data, out,
+                      [lo, hi](double v) { return (v >= lo) & (v < hi); });
         })) {
       return vs::Status::OK();
     }
-    for (size_t r = 0; r < view.size(); ++r) {
-      if (view.IsNull(r)) continue;
+    FilterCandidates(table, candidates, out, [&view, lo, hi](uint32_t r) {
+      if (view.IsNull(r)) return false;
       const double v = view.at(r);
-      (*mask)[r] = (v >= lo && v < hi);
-    }
+      return v >= lo && v < hi;
+    });
     return vs::Status::OK();
   }
 
@@ -286,18 +322,19 @@ class AndPredicate final : public Predicate {
   explicit AndPredicate(std::vector<PredicatePtr> children)
       : children_(std::move(children)) {}
 
-  vs::Status Evaluate(const Table& table,
-                      std::vector<uint8_t>* mask) const override {
+  vs::Status Select(const Table& table, const SelectionVector* candidates,
+                    SelectionVector* out) const override {
     if (children_.empty()) {
-      mask->assign(table.num_rows(), 1);
+      *out = candidates != nullptr ? *candidates : table.AllRows();
       return vs::Status::OK();
     }
-    // The first child writes the mask directly; the rest are folded in.
-    VS_RETURN_IF_ERROR(children_[0]->Evaluate(table, mask));
-    std::vector<uint8_t> child_mask;
+    // The first child narrows the candidates; each later child tests only
+    // the rows that survived the ones before it.
+    VS_RETURN_IF_ERROR(children_[0]->Select(table, candidates, out));
+    SelectionVector narrowed;
     for (size_t c = 1; c < children_.size(); ++c) {
-      VS_RETURN_IF_ERROR(children_[c]->Evaluate(table, &child_mask));
-      for (size_t r = 0; r < mask->size(); ++r) (*mask)[r] &= child_mask[r];
+      VS_RETURN_IF_ERROR(children_[c]->Select(table, out, &narrowed));
+      out->swap(narrowed);
     }
     return vs::Status::OK();
   }
@@ -319,13 +356,17 @@ class OrPredicate final : public Predicate {
   explicit OrPredicate(std::vector<PredicatePtr> children)
       : children_(std::move(children)) {}
 
-  vs::Status Evaluate(const Table& table,
-                      std::vector<uint8_t>* mask) const override {
-    mask->assign(table.num_rows(), 0);
-    std::vector<uint8_t> child_mask;
+  vs::Status Select(const Table& table, const SelectionVector* candidates,
+                    SelectionVector* out) const override {
+    out->clear();
+    SelectionVector matched;
+    SelectionVector merged;
     for (const PredicatePtr& child : children_) {
-      VS_RETURN_IF_ERROR(child->Evaluate(table, &child_mask));
-      for (size_t r = 0; r < mask->size(); ++r) (*mask)[r] |= child_mask[r];
+      VS_RETURN_IF_ERROR(child->Select(table, candidates, &matched));
+      merged.clear();
+      std::set_union(out->begin(), out->end(), matched.begin(), matched.end(),
+                     std::back_inserter(merged));
+      out->swap(merged);
     }
     return vs::Status::OK();
   }
@@ -346,10 +387,18 @@ class NotPredicate final : public Predicate {
  public:
   explicit NotPredicate(PredicatePtr child) : child_(std::move(child)) {}
 
-  vs::Status Evaluate(const Table& table,
-                      std::vector<uint8_t>* mask) const override {
-    VS_RETURN_IF_ERROR(child_->Evaluate(table, mask));
-    for (auto& m : *mask) m = !m;
+  vs::Status Select(const Table& table, const SelectionVector* candidates,
+                    SelectionVector* out) const override {
+    SelectionVector matched;
+    VS_RETURN_IF_ERROR(child_->Select(table, candidates, &matched));
+    // The child's matches are a subsequence of the candidates, so one
+    // cursor walks them in step.
+    size_t next = 0;
+    FilterCandidates(table, candidates, out, [&matched, &next](uint32_t r) {
+      const bool hit = next < matched.size() && matched[next] == r;
+      next += hit ? 1 : 0;
+      return !hit;
+    });
     return vs::Status::OK();
   }
 
@@ -394,20 +443,8 @@ PredicatePtr True() { return And({}); }
 vs::Result<SelectionVector> SelectRows(const Table& table,
                                        const Predicate* predicate) {
   if (predicate == nullptr) return table.AllRows();
-  std::vector<uint8_t> mask;
-  VS_RETURN_IF_ERROR(predicate->Evaluate(table, &mask));
-  size_t matches = 0;
-  for (uint8_t m : mask) matches += m != 0;
-  // Sized once and filled branch-free: every row id is written, and the
-  // cursor advances past it only on a match (one spare slot takes the
-  // writes after the last match).
-  SelectionVector sel(matches + 1);
-  size_t k = 0;
-  for (size_t r = 0; r < mask.size(); ++r) {
-    sel[k] = static_cast<uint32_t>(r);
-    k += mask[r] != 0;
-  }
-  sel.resize(matches);
+  SelectionVector sel;
+  VS_RETURN_IF_ERROR(predicate->Select(table, nullptr, &sel));
   return sel;
 }
 

@@ -2,13 +2,21 @@
 #define VS_DATA_PREDICATE_H_
 
 /// \file predicate.h
-/// \brief Vectorized predicate trees — the WHERE clause of the engine.
+/// \brief Selection-based predicate trees — the WHERE clause of the engine.
 ///
-/// A Predicate evaluates over a whole Table into a boolean mask; SelectRows
-/// converts the mask into a SelectionVector.  Semantics are two-valued:
-/// null cells compare false under every comparison, and Not() is a pure
-/// complement (this deviates from SQL's three-valued logic; the deviation
-/// is intentional and covered by tests).
+/// A Predicate narrows a sorted candidate list of row ids to the rows that
+/// match; SelectRows starts from every row of the table.  Leaves filter
+/// the candidates with typed, null-aware loops.  And() narrows one list
+/// child by child, so its first child scans the table and each later child
+/// tests only the rows that survived; Or() is the sorted union of its
+/// children over the same candidates; Not() is the candidates minus its
+/// child's matches.  Error statuses do not depend on the data: a child
+/// handed an empty candidate list still validates its column and literal.
+///
+/// Semantics are two-valued: null cells compare false under every
+/// comparison, a NaN cell matches no numeric comparison, and Not() is a
+/// pure complement (this deviates from SQL's three-valued logic; the
+/// deviation is intentional and covered by tests).
 
 #include <memory>
 #include <string>
@@ -31,9 +39,11 @@ class Predicate {
  public:
   virtual ~Predicate() = default;
 
-  /// Evaluates over \p table into \p mask (resized to num_rows; 1 = match).
-  virtual vs::Status Evaluate(const Table& table,
-                              std::vector<uint8_t>* mask) const = 0;
+  /// Replaces \p out with the rows of \p candidates (sorted, in-range row
+  /// ids; nullptr = every row of \p table) that match, in candidate order.
+  virtual vs::Status Select(const Table& table,
+                            const SelectionVector* candidates,
+                            SelectionVector* out) const = 0;
 
   /// Debug rendering, e.g. "(age >= 30 AND state == CA)".
   virtual std::string ToString() const = 0;

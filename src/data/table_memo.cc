@@ -100,6 +100,20 @@ std::pair<double, double> TableMemo::PublishRange(
   return ranges_.emplace(dimension, range).first->second;
 }
 
+std::shared_ptr<const std::vector<std::string>> TableMemo::FindLabels(
+    const std::string& dimension) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = labels_.find(dimension);
+  return it != labels_.end() ? it->second : nullptr;
+}
+
+std::shared_ptr<const std::vector<std::string>> TableMemo::PublishLabels(
+    const std::string& dimension,
+    std::shared_ptr<const std::vector<std::string>> labels) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return labels_.emplace(dimension, std::move(labels)).first->second;
+}
+
 size_t TableMemo::num_grids() const {
   std::lock_guard<std::mutex> lock(mu_);
   return grids_.size();

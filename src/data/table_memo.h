@@ -3,7 +3,8 @@
 
 /// \file table_memo.h
 /// \brief Per-table memo of full-table aggregation state: numeric
-/// dimension ranges and the group-by grids of full-table views.
+/// dimension ranges, categorical bin labels and the group-by grids of
+/// full-table views.
 ///
 /// In Algorithm 1 the reference view P(v^R) is the same group-by over the
 /// whole table D for every query subset, so a (dimension, bin count,
@@ -26,6 +27,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace vs::data {
 
@@ -73,6 +75,16 @@ class TableMemo {
   std::pair<double, double> PublishRange(const std::string& dimension,
                                          std::pair<double, double> range);
 
+  /// The memoized bin labels of categorical \p dimension, or null.
+  std::shared_ptr<const std::vector<std::string>> FindLabels(
+      const std::string& dimension) const;
+
+  /// Memoizes \p labels for \p dimension unless some exist; returns the
+  /// memoized labels.  Not counted in bytes().
+  std::shared_ptr<const std::vector<std::string>> PublishLabels(
+      const std::string& dimension,
+      std::shared_ptr<const std::vector<std::string>> labels);
+
   /// Number of memoized grids.
   size_t num_grids() const;
 
@@ -86,6 +98,8 @@ class TableMemo {
   mutable std::mutex mu_;
   std::map<FullTableGridKey, std::shared_ptr<const KernelGrid>> grids_;
   std::map<std::string, std::pair<double, double>> ranges_;
+  std::map<std::string, std::shared_ptr<const std::vector<std::string>>>
+      labels_;
   size_t bytes_ = 0;
 };
 

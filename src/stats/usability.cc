@@ -13,33 +13,35 @@ double UsabilityFromCounts(const std::vector<int64_t>& counts) {
   return 1.0 / static_cast<double>(nonempty);
 }
 
-vs::Result<double> WithinBinSse(const BinMoments& moments) {
-  if (moments.sum.size() != moments.sumsq.size() ||
-      moments.sum.size() != moments.count.size()) {
-    return vs::Status::InvalidArgument("BinMoments arrays differ in length");
+vs::Result<double> WithinBinSse(const std::vector<double>& sum,
+                                const std::vector<double>& sumsq,
+                                const std::vector<int64_t>& count) {
+  if (sum.size() != sumsq.size() || sum.size() != count.size()) {
+    return vs::Status::InvalidArgument("moment arrays differ in length");
   }
   double ssw = 0.0;
-  for (size_t b = 0; b < moments.sum.size(); ++b) {
-    const int64_t n = moments.count[b];
+  for (size_t b = 0; b < sum.size(); ++b) {
+    const int64_t n = count[b];
     if (n <= 0) continue;
     const double contribution =
-        moments.sumsq[b] - moments.sum[b] * moments.sum[b] /
-                               static_cast<double>(n);
+        sumsq[b] - sum[b] * sum[b] / static_cast<double>(n);
     // Guard against tiny negative residues from cancellation.
     if (contribution > 0.0) ssw += contribution;
   }
   return ssw;
 }
 
-vs::Result<double> AccuracyFromMoments(const BinMoments& moments) {
-  VS_ASSIGN_OR_RETURN(double ssw, WithinBinSse(moments));
+vs::Result<double> AccuracyFromMoments(const std::vector<double>& sum,
+                                       const std::vector<double>& sumsq,
+                                       const std::vector<int64_t>& count) {
+  VS_ASSIGN_OR_RETURN(double ssw, WithinBinSse(sum, sumsq, count));
   double total_sum = 0.0;
   double total_sumsq = 0.0;
   int64_t total_n = 0;
-  for (size_t b = 0; b < moments.sum.size(); ++b) {
-    total_sum += moments.sum[b];
-    total_sumsq += moments.sumsq[b];
-    total_n += moments.count[b];
+  for (size_t b = 0; b < sum.size(); ++b) {
+    total_sum += sum[b];
+    total_sumsq += sumsq[b];
+    total_n += count[b];
   }
   if (total_n == 0) return 1.0;
   const double sst =

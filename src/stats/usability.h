@@ -28,18 +28,19 @@ namespace vs::stats {
 /// Relative-bin-width usability from per-bin counts; in (0, 1].
 double UsabilityFromCounts(const std::vector<int64_t>& counts);
 
-/// \brief Per-bin second-moment sums needed for the accuracy metric.
-struct BinMoments {
-  std::vector<double> sum;    ///< Σ x per bin
-  std::vector<double> sumsq;  ///< Σ x^2 per bin
-  std::vector<int64_t> count;
-};
+/// The accuracy metric reads per-bin second-moment sums: Σ x (\p sum),
+/// Σ x^2 (\p sumsq) and the row count (\p count) of each bin, three
+/// arrays of one length (InvalidArgument otherwise), read in place.
 
 /// Within-bin sum of squared deviations: Σ_b (sumsq_b - sum_b^2 / n_b).
-vs::Result<double> WithinBinSse(const BinMoments& moments);
+vs::Result<double> WithinBinSse(const std::vector<double>& sum,
+                                const std::vector<double>& sumsq,
+                                const std::vector<int64_t>& count);
 
 /// Explained-variance accuracy in [0, 1]: 1 - SSW/SST (1 when SST == 0).
-vs::Result<double> AccuracyFromMoments(const BinMoments& moments);
+vs::Result<double> AccuracyFromMoments(const std::vector<double>& sum,
+                                       const std::vector<double>& sumsq,
+                                       const std::vector<int64_t>& count);
 
 }  // namespace vs::stats
 

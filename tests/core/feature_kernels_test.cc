@@ -243,14 +243,27 @@ TEST(FeatureKernelsTest, ComputeBuiltinFeaturesMatchesRegistry) {
       executor, {"c", "m", data::AggregateFunction::kSum, 0}, query);
   ASSERT_TRUE(view.ok());
 
+  auto measure = ComputeMeasureFeatures(view->target, view->reference);
+  ASSERT_TRUE(measure.ok());
   double raw[kNumBuiltinFeatures] = {};
-  ASSERT_TRUE(ComputeBuiltinFeatures(*view, raw).ok());
+  ASSERT_TRUE(ComputeBuiltinFeatures(*view, *measure, raw).ok());
   auto registry = UtilityFeatureRegistry::Default();
   auto values = registry.ComputeAll(*view);
   ASSERT_TRUE(values.ok());
   for (int f = 0; f < kNumBuiltinFeatures; ++f) {
     EXPECT_EQ(raw[f], (*values)[f]) << f;
   }
+  // The shared-measure overload gives the same bits, and is refused by a
+  // registry that does not fuse the built-ins.
+  auto shared = registry.ComputeAll(*view, *measure);
+  ASSERT_TRUE(shared.ok());
+  for (int f = 0; f < kNumBuiltinFeatures; ++f) {
+    EXPECT_EQ((*shared)[f], (*values)[f]) << f;
+  }
+  registry.set_use_kernels(false);
+  EXPECT_FALSE(registry.fuses_builtins());
+  EXPECT_TRUE(
+      registry.ComputeAll(*view, *measure).status().IsFailedPrecondition());
 }
 
 }  // namespace

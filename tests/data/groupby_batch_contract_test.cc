@@ -112,8 +112,8 @@ TEST(GroupByBatchContractTest, RangeFilledByEitherPathGivesSameBins) {
     ASSERT_TRUE(got.ok());
     ASSERT_TRUE(want.ok());
     EXPECT_EQ(got->labels(), want->labels());
-    EXPECT_EQ(got->counts, want->counts);
-    EXPECT_EQ(got->sums, want->sums);
+    EXPECT_EQ(got->counts(), want->counts());
+    EXPECT_EQ(got->sums(), want->sums());
   }
 }
 
@@ -145,8 +145,8 @@ TEST(GroupByBatchContractTest, ConcurrentReadersWithoutPrewarmAgree) {
       for (size_t i = 0; i < specs.size(); ++i) {
         const size_t s = (i + t) % specs.size();
         auto got = shared.Execute(specs[s], nullptr);
-        if (!got.ok() || got->counts != expected[s].counts ||
-            got->sums != expected[s].sums ||
+        if (!got.ok() || got->counts() != expected[s].counts() ||
+            got->sums() != expected[s].sums() ||
             got->values != expected[s].values ||
             got->labels() != expected[s].labels()) {
           mismatches.fetch_add(1);
@@ -190,10 +190,10 @@ TEST(GroupByBatchContractTest, BatchIdenticalToPerSpecOnBothPaths) {
       EXPECT_EQ(single->labels(), (*results)[s].labels());
       // One immutable label vector serves the whole batch.
       EXPECT_EQ((*results)[s].bin_labels.get(), (*results)[0].bin_labels.get());
-      EXPECT_EQ(single->counts, (*results)[s].counts);
+      EXPECT_EQ(single->counts(), (*results)[s].counts());
       EXPECT_EQ(single->values, (*results)[s].values);
-      EXPECT_EQ(single->sums, (*results)[s].sums);
-      EXPECT_EQ(single->sumsqs, (*results)[s].sumsqs);
+      EXPECT_EQ(single->sums(), (*results)[s].sums());
+      EXPECT_EQ(single->sumsqs(), (*results)[s].sumsqs());
       EXPECT_EQ(single->rows_seen, (*results)[s].rows_seen);
     }
   }

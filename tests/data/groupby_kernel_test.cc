@@ -117,13 +117,13 @@ void ExpectExactlyEqual(const GroupByResult& oracle, const GroupByResult& got,
                         const std::string& context) {
   SCOPED_TRACE(context);
   EXPECT_EQ(oracle.labels(), got.labels());
-  EXPECT_EQ(oracle.counts, got.counts);
+  EXPECT_EQ(oracle.counts(), got.counts());
   EXPECT_EQ(oracle.rows_seen, got.rows_seen);
   // Bit-identical: without lanes the kernel promises the oracle's exact
   // accumulation order.
   EXPECT_EQ(oracle.values, got.values);
-  EXPECT_EQ(oracle.sums, got.sums);
-  EXPECT_EQ(oracle.sumsqs, got.sumsqs);
+  EXPECT_EQ(oracle.sums(), got.sums());
+  EXPECT_EQ(oracle.sumsqs(), got.sumsqs());
 }
 
 void ExpectNear(double a, double b, const char* what, size_t bin) {
@@ -142,7 +142,7 @@ void ExpectEquivalent(const GroupByResult& oracle, const GroupByResult& got,
                       AggregateFunction func, const std::string& context) {
   SCOPED_TRACE(context);
   EXPECT_EQ(oracle.labels(), got.labels());
-  EXPECT_EQ(oracle.counts, got.counts);
+  EXPECT_EQ(oracle.counts(), got.counts());
   EXPECT_EQ(oracle.rows_seen, got.rows_seen);
   ASSERT_EQ(oracle.values.size(), got.values.size());
   const bool exact_values = func == AggregateFunction::kCount ||
@@ -154,8 +154,8 @@ void ExpectEquivalent(const GroupByResult& oracle, const GroupByResult& got,
     } else {
       ExpectNear(oracle.values[bin], got.values[bin], "value", bin);
     }
-    ExpectNear(oracle.sums[bin], got.sums[bin], "sum", bin);
-    ExpectNear(oracle.sumsqs[bin], got.sumsqs[bin], "sumsq", bin);
+    ExpectNear(oracle.sums()[bin], got.sums()[bin], "sum", bin);
+    ExpectNear(oracle.sumsqs()[bin], got.sumsqs()[bin], "sumsq", bin);
   }
 }
 
@@ -431,7 +431,7 @@ TEST(GroupByKernelStressTest, ConcurrentReadersFillOneTableMemo) {
       const GroupBySpec& spec = specs[(t + round) % specs.size()];
       const GroupByResult& oracle = oracles[(t + round) % specs.size()];
       auto got = kernel.Execute(spec, nullptr);
-      if (!got.ok() || got->counts != oracle.counts ||
+      if (!got.ok() || got->counts() != oracle.counts() ||
           got->labels() != oracle.labels() ||
           got->rows_seen != oracle.rows_seen) {
         failures.fetch_add(1);
@@ -505,11 +505,11 @@ void ExpectBatchesBitEqual(const std::vector<GroupByResult>& want,
   for (size_t s = 0; s < want.size(); ++s) {
     SCOPED_TRACE("spec " + std::to_string(s));
     EXPECT_EQ(want[s].labels(), got[s].labels());
-    EXPECT_EQ(want[s].counts, got[s].counts);
+    EXPECT_EQ(want[s].counts(), got[s].counts());
     EXPECT_EQ(want[s].rows_seen, got[s].rows_seen);
     ExpectBitEqual(want[s].values, got[s].values, "values");
-    ExpectBitEqual(want[s].sums, got[s].sums, "sums");
-    ExpectBitEqual(want[s].sumsqs, got[s].sumsqs, "sumsqs");
+    ExpectBitEqual(want[s].sums(), got[s].sums(), "sums");
+    ExpectBitEqual(want[s].sumsqs(), got[s].sumsqs(), "sumsqs");
   }
 }
 

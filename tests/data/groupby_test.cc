@@ -45,7 +45,7 @@ TEST(GroupByTest, SumPerCategory) {
   EXPECT_DOUBLE_EQ(r->values[0], 4.0);
   EXPECT_DOUBLE_EQ(r->values[1], 8.0);
   EXPECT_DOUBLE_EQ(r->values[2], 4.0);
-  EXPECT_EQ(r->counts, (std::vector<int64_t>{2, 2, 1}));
+  EXPECT_EQ(r->counts(), (std::vector<int64_t>{2, 2, 1}));
   EXPECT_EQ(r->rows_seen, 5);
 }
 
@@ -126,8 +126,8 @@ TEST(GroupByTest, SumsAndSumsqsExposed) {
   GroupByExecutor ex(&t);
   auto r = ex.Execute({"color", "v", AggregateFunction::kAvg, 0}, nullptr);
   ASSERT_TRUE(r.ok());
-  EXPECT_DOUBLE_EQ(r->sums[0], 4.0);     // red: 1 + 3
-  EXPECT_DOUBLE_EQ(r->sumsqs[0], 10.0);  // 1 + 9
+  EXPECT_DOUBLE_EQ(r->sums()[0], 4.0);     // red: 1 + 3
+  EXPECT_DOUBLE_EQ(r->sumsqs()[0], 10.0);  // 1 + 9
 }
 
 TEST(GroupByTest, NullsExcluded) {
@@ -202,7 +202,7 @@ TEST(ExecuteBatchTest, MatchesPerSpecExecution) {
     auto single = ex.Execute(specs[s], nullptr);
     ASSERT_TRUE(single.ok());
     EXPECT_EQ((*batch)[s].values, single->values) << specs[s].ToString();
-    EXPECT_EQ((*batch)[s].counts, single->counts);
+    EXPECT_EQ((*batch)[s].counts(), single->counts());
     EXPECT_EQ((*batch)[s].labels(), single->labels());
     EXPECT_EQ((*batch)[s].rows_seen, single->rows_seen);
   }

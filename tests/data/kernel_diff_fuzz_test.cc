@@ -58,11 +58,11 @@ void ExpectDifferentialMatch(const Table& table, const GroupBySpec& spec,
     return;
   }
   EXPECT_EQ(oracle->labels(), got->labels());
-  EXPECT_EQ(oracle->counts, got->counts);
+  EXPECT_EQ(oracle->counts(), got->counts());
   EXPECT_EQ(oracle->rows_seen, got->rows_seen);
   ExpectSameDoubles(oracle->values, got->values, "values");
-  ExpectSameDoubles(oracle->sums, got->sums, "sums");
-  ExpectSameDoubles(oracle->sumsqs, got->sumsqs, "sumsqs");
+  ExpectSameDoubles(oracle->sums(), got->sums(), "sums");
+  ExpectSameDoubles(oracle->sumsqs(), got->sumsqs(), "sumsqs");
 }
 
 std::vector<GroupBySpec> AllSpecs(const std::string& dimension,

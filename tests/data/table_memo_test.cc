@@ -74,10 +74,10 @@ void ExpectBitIdentical(const GroupByResult& want, const GroupByResult& got,
                         const std::string& what) {
   SCOPED_TRACE(what);
   EXPECT_EQ(want.labels(), got.labels());
-  EXPECT_EQ(want.counts, got.counts);
+  EXPECT_EQ(want.counts(), got.counts());
   EXPECT_TRUE(SameBits(want.values, got.values));
-  EXPECT_TRUE(SameBits(want.sums, got.sums));
-  EXPECT_TRUE(SameBits(want.sumsqs, got.sumsqs));
+  EXPECT_TRUE(SameBits(want.sums(), got.sums()));
+  EXPECT_TRUE(SameBits(want.sumsqs(), got.sumsqs()));
   EXPECT_EQ(want.rows_seen, got.rows_seen);
 }
 
@@ -270,6 +270,38 @@ TEST(TableMemoTest, OnlyFullTableKernelCallsFillGrids) {
   EXPECT_EQ(table.memo()->num_grids(), 1u);
 }
 
+// One labels vector per categorical dimension serves every result over
+// it, on both paths and any selection; grids are shared, not copied.
+TEST(TableMemoTest, CategoricalLabelsAndGridsAreShared) {
+  Table table = NullyTable(500, 5, 8);
+  EXPECT_EQ(table.memo()->FindLabels("c"), nullptr);
+  const GroupBySpec avg{"c", "m1", AggregateFunction::kAvg, 0};
+  const GroupBySpec sum{"c", "m1", AggregateFunction::kSum, 0};
+  SelectionVector some = {1, 4, 77, 300};
+  GroupByExecutorOptions scalar;
+  scalar.use_kernel = false;
+  auto target = GroupByExecutor(&table).ExecuteBatch({avg, sum}, &some);
+  auto full = GroupByExecutor(&table).ExecuteBatch({avg, sum}, nullptr);
+  auto oracle = GroupByExecutor(&table, scalar).Execute(avg, &some);
+  ASSERT_TRUE(target.ok() && full.ok() && oracle.ok());
+  const auto labels = table.memo()->FindLabels("c");
+  ASSERT_NE(labels, nullptr);
+  const auto* cat =
+      dynamic_cast<const CategoricalColumn*>(table.column(0).get());
+  ASSERT_NE(cat, nullptr);
+  EXPECT_EQ(*labels, cat->dictionary());
+  for (const GroupByResult* r : {&(*target)[0], &(*target)[1], &(*full)[0],
+                                 &(*full)[1], &*oracle}) {
+    EXPECT_EQ(r->bin_labels, labels);
+  }
+  // Both specs of one measure share one grid; the full-table one is the
+  // memo's.
+  EXPECT_EQ((*target)[0].moments, (*target)[1].moments);
+  EXPECT_EQ((*full)[0].moments, (*full)[1].moments);
+  const FullTableGridKey key{"c", cat->cardinality(), "m1"};
+  EXPECT_EQ((*full)[0].moments, table.memo()->FindGrid(key));
+}
+
 // A fault during a fill publishes nothing; the next call recomputes and
 // matches an uncached run.
 TEST(TableMemoTest, FailedFillLeavesNoEntry) {
@@ -340,10 +372,10 @@ TEST(TableMemoTest, ManyThreadFillAndRead) {
       for (size_t s = 0; s < got->size(); ++s) {
         const GroupByResult& want = expected[b][s];
         const GroupByResult& have = (*got)[s];
-        if (have.counts != want.counts ||
+        if (have.counts() != want.counts() ||
             !SameBits(have.values, want.values) ||
-            !SameBits(have.sums, want.sums) ||
-            !SameBits(have.sumsqs, want.sumsqs) ||
+            !SameBits(have.sums(), want.sums()) ||
+            !SameBits(have.sumsqs(), want.sumsqs()) ||
             have.labels() != want.labels()) {
           mismatches.fetch_add(1);
         }

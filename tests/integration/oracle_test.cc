@@ -152,7 +152,7 @@ TEST_P(GroupByOracle, ExecutorMatchesNaive) {
     for (size_t g = 0; g < naive.size(); ++g) {
       EXPECT_NEAR(fast->values[g], naive[g].Finalize(f), 1e-9)
           << data::AggregateFunctionName(f) << " group " << g;
-      EXPECT_EQ(fast->counts[g], naive[g].count);
+      EXPECT_EQ(fast->counts()[g], naive[g].count);
     }
   }
 }

@@ -102,7 +102,7 @@ TEST_P(GroupByProperty, CountsPartitionSelection) {
         &selection);
     ASSERT_TRUE(r.ok());
     int64_t total = 0;
-    for (int64_t c : r->counts) total += c;
+    for (int64_t c : r->counts()) total += c;
     // No nulls in generated data: bins exactly partition the selection.
     EXPECT_EQ(total, static_cast<int64_t>(selection.size())) << dim;
   }
@@ -141,7 +141,7 @@ TEST_P(GroupByProperty, AvgIsBetweenMinAndMax) {
                              nullptr);
   ASSERT_TRUE(avg.ok() && lo.ok() && hi.ok());
   for (size_t b = 0; b < avg->num_bins(); ++b) {
-    if (avg->counts[b] == 0) continue;
+    if (avg->counts()[b] == 0) continue;
     EXPECT_GE(avg->values[b], lo->values[b] - 1e-12);
     EXPECT_LE(avg->values[b], hi->values[b] + 1e-12);
   }

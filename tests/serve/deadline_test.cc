@@ -2,7 +2,7 @@
 /// layer's expired-in-queue fast 504 and budget echo, the router's
 /// decrement-and-forward (observable through the worker's
 /// X-Deadline-Budget-Ms echo), and refinement batches stopping inside a
-/// work/wall budget (Deadline::AfterUnitsAndSeconds).
+/// work-unit or wall-clock budget.
 
 #include <memory>
 #include <string>
@@ -38,13 +38,12 @@ TEST(DecrementedDeadlineTest, HopDecrementArithmetic) {
 }
 
 TEST(DeadlineTest, RefinementStopsInsideUnitBudget) {
-  // AfterUnitsAndSeconds caps a refinement batch twice: the unit cap
-  // bounds work, the wall cap bounds time.  With a generous wall bound
-  // the unit budget binds deterministically.
+  // A work-unit budget binds deterministically: three rows' worth of
+  // units refines exactly three rows.
   auto world = core::testutil::MakeMiniWorld(0.3);
   core::IncrementalRefiner refiner(world.matrix.get());
   const int64_t cost = world.matrix->RefineCostPerRow();
-  Deadline deadline = Deadline::AfterUnitsAndSeconds(3 * cost, 1000.0);
+  Deadline deadline = Deadline::AfterUnits(3 * cost);
   auto stats = refiner.RefineBatch({}, &deadline);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->rows_refined, 3);
@@ -54,7 +53,7 @@ TEST(DeadlineTest, RefinementStopsInsideUnitBudget) {
 TEST(DeadlineTest, ExpiredWallBudgetRefinesNothing) {
   auto world = core::testutil::MakeMiniWorld(0.3);
   core::IncrementalRefiner refiner(world.matrix.get());
-  Deadline deadline = Deadline::AfterUnitsAndSeconds(1'000'000, -1.0);
+  Deadline deadline = Deadline::AfterSeconds(-1.0);
   auto stats = refiner.RefineBatch({}, &deadline);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->rows_refined, 0);

@@ -27,8 +27,22 @@ TEST(UsabilityTest, MonotoneInOccupancy) {
   }
 }
 
-BinMoments MakeMoments(std::vector<std::vector<double>> bins) {
-  BinMoments m;
+struct Moments {
+  std::vector<double> sum;
+  std::vector<double> sumsq;
+  std::vector<int64_t> count;
+};
+
+vs::Result<double> WithinBinSse(const Moments& m) {
+  return stats::WithinBinSse(m.sum, m.sumsq, m.count);
+}
+
+vs::Result<double> AccuracyFromMoments(const Moments& m) {
+  return stats::AccuracyFromMoments(m.sum, m.sumsq, m.count);
+}
+
+Moments MakeMoments(std::vector<std::vector<double>> bins) {
+  Moments m;
   for (const auto& bin : bins) {
     double sum = 0.0;
     double sumsq = 0.0;
@@ -60,7 +74,7 @@ TEST(WithinBinSseTest, EmptyBinsContributeNothing) {
 }
 
 TEST(WithinBinSseTest, MismatchedArraysRejected) {
-  BinMoments m;
+  Moments m;
   m.sum = {1.0};
   m.sumsq = {1.0, 2.0};
   m.count = {1};

@@ -325,7 +325,7 @@ int CmdSql(const Args& args) {
   for (size_t b = 0; b < result->num_bins(); ++b) {
     std::printf("%-24s %.6g  (n=%lld)\n", result->labels()[b].c_str(),
                 result->values[b],
-                static_cast<long long>(result->counts[b]));
+                static_cast<long long>(result->counts()[b]));
   }
   return 0;
 }
