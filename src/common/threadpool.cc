@@ -61,15 +61,19 @@ ThreadPool::~ThreadPool() {
   for (auto& t : threads_) t.join();
 }
 
+void ThreadPool::CountCompleted() {
+  tasks_completed_.fetch_add(1, std::memory_order_relaxed);
+  PoolMetrics::Get().tasks_completed->Increment();
+}
+
 void ThreadPool::FinishTask(const Task& task, bool timed) {
-  const PoolMetrics& m = PoolMetrics::Get();
   const bool observe = obs::MetricsRegistry::Default().enabled();
   if (observe && timed) {
     // enqueued was restarted at dequeue; it now holds the run time.
-    m.task_run_seconds->Observe(task.enqueued.ElapsedSeconds());
+    PoolMetrics::Get().task_run_seconds->Observe(
+        task.enqueued.ElapsedSeconds());
   }
-  tasks_completed_.fetch_add(1, std::memory_order_relaxed);
-  m.tasks_completed->Increment();
+  if (task.counted) CountCompleted();
 }
 
 bool ThreadPool::Submit(std::function<void()> task) {
@@ -85,10 +89,17 @@ bool ThreadPool::Submit(std::function<void()> task) {
     tasks_rejected_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
+  return Enqueue(Task{std::move(task), Stopwatch()});
+}
+
+bool ThreadPool::Enqueue(Task task) {
   size_t depth;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     if (max_queue_ > 0 && queue_.size() >= max_queue_) {
+      // A ParallelFor helper never waits and is never a rejection: the
+      // caller runs the chunks it would have claimed.
+      if (!task.counted) return false;
       if (overflow_ == QueueOverflowPolicy::kReject) {
         tasks_rejected_.fetch_add(1, std::memory_order_relaxed);
         return false;
@@ -101,7 +112,7 @@ bool ThreadPool::Submit(std::function<void()> task) {
         return false;
       }
     }
-    queue_.push(Task{std::move(task), Stopwatch()});
+    queue_.push(std::move(task));
     depth = queue_.size();
   }
   PoolMetrics::Get().queue_depth->Set(static_cast<double>(depth));
@@ -125,31 +136,46 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
   if (begin >= end) return;
   if (threads_.empty()) {
     for (size_t i = begin; i < end; ++i) fn(i);
-    tasks_completed_.fetch_add(1, std::memory_order_relaxed);
-    PoolMetrics::Get().tasks_completed->Increment();
+    CountCompleted();
     return;
   }
   const size_t n = end - begin;
-  const size_t chunks = std::min(n, threads_.size() * 4);
-  const size_t chunk_size = (n + chunks - 1) / chunks;
-  std::atomic<size_t> next{begin};
-  auto run_chunks = [&, chunk_size] {
+  const size_t target_chunks = std::min(n, (threads_.size() + 1) * 16);
+  const size_t chunk_size = (n + target_chunks - 1) / target_chunks;
+  const size_t chunks = (n + chunk_size - 1) / chunk_size;
+
+  // The call's own bookkeeping.  Helpers hold it by shared_ptr because one
+  // may be dequeued after the call has returned; such a helper claims no
+  // chunk, so it never touches fn (borrowed from the caller's frame).
+  struct Call {
+    std::atomic<size_t> next{0};
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t done = 0;
+  };
+  auto call = std::make_shared<Call>();
+  const std::function<void(size_t)>* body = &fn;
+  auto run_chunks = [this, call, body, begin, end, chunk_size, chunks] {
     while (true) {
-      size_t start = next.fetch_add(chunk_size);
-      if (start >= end) break;
-      size_t stop = std::min(end, start + chunk_size);
-      for (size_t i = start; i < stop; ++i) fn(i);
+      const size_t c = call->next.fetch_add(1);
+      if (c >= chunks) return;
+      const size_t start = begin + c * chunk_size;
+      const size_t stop = std::min(end, start + chunk_size);
+      for (size_t i = start; i < stop; ++i) (*body)(i);
+      CountCompleted();
+      std::lock_guard<std::mutex> lock(call->mu);
+      if (++call->done == chunks) call->cv.notify_all();
     }
   };
-  for (size_t c = 0; c < chunks; ++c) {
-    // A kReject pool with a full queue drops the submission; run the
-    // worker loop inline so every index is still covered.
-    if (!Submit(run_chunks)) {
-      run_chunks();
-      break;  // inline loop drains the remaining range
-    }
+  const size_t helpers = std::min(threads_.size(), chunks - 1);
+  for (size_t h = 0; h < helpers; ++h) {
+    Task helper{run_chunks, Stopwatch()};
+    helper.counted = false;
+    if (!Enqueue(std::move(helper))) break;  // bounded queue full
   }
-  WaitIdle();
+  run_chunks();
+  std::unique_lock<std::mutex> lock(call->mu);
+  call->cv.wait(lock, [&call, chunks] { return call->done == chunks; });
 }
 
 size_t ThreadPool::DefaultThreads() {

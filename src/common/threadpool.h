@@ -46,8 +46,10 @@ struct ThreadPoolOptions {
 /// \brief A minimal fork-join thread pool.
 ///
 /// Submit() enqueues tasks; WaitIdle() blocks until the queue is drained and
-/// all workers are idle.  ParallelFor() is a convenience that blocks until a
-/// range has been fully processed.  A bounded queue (ThreadPoolOptions::
+/// all workers are idle.  ParallelFor() blocks until one range has been
+/// fully processed; the calling thread runs chunks of it too, and it waits
+/// only for its own range, so several threads can share one pool without
+/// waiting on each other's work.  A bounded queue (ThreadPoolOptions::
 /// max_queue) adds backpressure: Submit either blocks for space or rejects
 /// the task per the overflow policy — the serve layer uses kReject to turn
 /// overload into fast 503s instead of unbounded memory growth.
@@ -73,8 +75,14 @@ class ThreadPool {
   /// Blocks until all submitted tasks have completed.
   void WaitIdle();
 
-  /// Runs fn(i) for i in [begin, end), partitioned across workers; blocks
-  /// until complete.
+  /// Runs fn(i) for i in [begin, end); blocks until every index has run.
+  /// The range is cut into chunks of ceil(n / min(n, 16 * (num_threads() +
+  /// 1))) indices that the caller and up to num_threads() helper tasks
+  /// claim in index order.  The caller runs chunks itself, so the call
+  /// completes even when no helper is queued (a full bounded queue) or
+  /// every worker is busy.  Each chunk counts as one completed task; an
+  /// inline pool runs the range as one task.  The call waits on its own
+  /// chunk count, never on WaitIdle.
   void ParallelFor(size_t begin, size_t end,
                    const std::function<void(size_t)>& fn);
 
@@ -106,8 +114,15 @@ class ThreadPool {
   struct Task {
     std::function<void()> fn;
     Stopwatch enqueued;  ///< measures queue wait for the obs histogram
+    /// False for ParallelFor helpers, whose chunks are counted instead.
+    bool counted = true;
   };
 
+  /// Queues \p task under the bound and overflow policy; a helper
+  /// (!task.counted) is dropped instead of waiting when the queue is full.
+  bool Enqueue(Task task);
+  /// Counts one finished task in tasks_completed and the obs counter.
+  void CountCompleted();
   void WorkerLoop();
   void FinishTask(const Task& task, bool timed);
 

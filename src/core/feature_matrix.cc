@@ -1,23 +1,33 @@
 /// \file feature_matrix.cc
 /// \brief Feature-matrix builds and refinement over shared group scans.
 ///
-/// Build and RefineRows materialize views one (dimension, bin count) group
-/// at a time through one helper, MaterializeGroup: one target batch and one
-/// reference batch per group (data/groupby.h), then the features of each
-/// view.  The batches hand every aggregate view of a measure the same
-/// immutable moment grid, so on the kernel path Usability, Accuracy and
-/// P-value — which read only counts and moments — are computed once per
-/// (target grid, reference grid) pair, i.e. once per (dimension, measure),
-/// together with P-value's normalized reference count distribution.  The
-/// pair is keyed by grid, not by dimension, because a measure with null
-/// cells has its own counts.  KL/EMD/L1/L2/MAX_DIFF and custom registered
-/// features still run per view, and the scalar oracle path
-/// (use_kernels = false) keeps per-view ComputeAll.  Either way the values
-/// are bit-identical.
+/// Build and RefineRows materialize views through one helper,
+/// MaterializeGroups, over (dimension, bin count) groups: one target batch
+/// and one reference batch per group (data/groupby.h), then the features
+/// of each view.  The batches hand every aggregate view of a measure the
+/// same immutable moment grid, so on the kernel path Usability, Accuracy
+/// and P-value — which read only counts and moments — are computed once
+/// per (target grid, reference grid) pair, i.e. once per (dimension,
+/// measure), together with P-value's normalized reference count
+/// distribution.  The pair is keyed by grid, not by dimension, because a
+/// measure with null cells has its own counts.  KL/EMD/L1/L2/MAX_DIFF and
+/// custom registered features still run per view, and the scalar oracle
+/// path (use_kernels = false) keeps per-view ComputeAll.  Either way the
+/// values are bit-identical.
+///
+/// Build runs in three phases on the borrowed FeatureMatrixOptions::pool
+/// (inline without one): the target measure gather (one task per
+/// measure), the group passes (one task per group), then the measure
+/// features (one task per grid pair) and the views (one task per view).
+/// Every task writes only its own slot, so the matrix is bit-identical
+/// with any pool size.  RefineRows runs the same helper inline, one group
+/// at a time.
 
 #include "core/feature_matrix.h"
 
 #include <algorithm>
+#include <atomic>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -95,65 +105,136 @@ struct GroupPasses {
   const data::SelectionVector* reference = nullptr;  ///< nullptr = all rows
 };
 
-/// Materializes the views \p members of \p views (one dimension and bin
-/// count) from one target and one reference batch and writes each view's
-/// features into its row of \p raw.  With \p share_measure_features (the
-/// kernel path with a registry that fuses the built-ins) the measure-level
-/// features are computed once per (target grid, reference grid) pair.
-/// When \p feature_seconds is set it observes one sample per view: the
-/// view's ComputeAll, plus the measure-level features for the first view
-/// of each pair.
-vs::Status MaterializeGroup(const data::GroupByExecutor& executor,
-                            const std::vector<ViewSpec>& views,
-                            const std::vector<size_t>& members,
-                            const GroupPasses& passes,
-                            const UtilityFeatureRegistry& registry,
-                            bool share_measure_features, ml::Matrix* raw,
-                            obs::Histogram* feature_seconds) {
-  std::vector<data::GroupBySpec> specs;
-  specs.reserve(members.size());
-  for (size_t i : members) specs.push_back(views[i].ToGroupBySpec());
-  VS_ASSIGN_OR_RETURN(std::vector<data::GroupByResult> targets,
-                      passes.gathered != nullptr
-                          ? executor.ExecuteBatch(specs, *passes.gathered)
-                          : executor.ExecuteBatch(specs, passes.target));
-  VS_ASSIGN_OR_RETURN(std::vector<data::GroupByResult> references,
-                      executor.ExecuteBatch(specs, passes.reference));
+/// Runs fn(i) for i in [0, n) on \p pool (inline, in index order, when
+/// null) and returns the failure of the lowest index.  A task is skipped
+/// once a lower index has failed, so whatever the interleaving, every
+/// index below the first failure runs and the result is the status a
+/// sequential loop returns.
+vs::Status RunTasks(ThreadPool* pool, size_t n,
+                    const std::function<vs::Status(size_t)>& fn) {
+  std::vector<vs::Status> status(n);
+  std::atomic<size_t> first_failure{n};
+  auto run = [&](size_t i) {
+    if (first_failure.load() < i) return;
+    status[i] = fn(i);
+    if (status[i].ok()) return;
+    size_t seen = first_failure.load();
+    while (i < seen && !first_failure.compare_exchange_weak(seen, i)) {
+    }
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(0, n, run);
+  } else {
+    for (size_t i = 0; i < n; ++i) run(i);
+  }
+  const size_t failed = first_failure.load();
+  return failed < n ? status[failed] : vs::Status::OK();
+}
 
-  using GridPair = std::pair<std::shared_ptr<const data::KernelGrid>,
-                             std::shared_ptr<const data::KernelGrid>>;
-  std::vector<std::pair<GridPair, MeasureFeatures>> measure_features;
-  for (size_t k = 0; k < members.size(); ++k) {
+/// Materializes the views of \p groups (each one dimension and bin count)
+/// and writes each view's features into its row of \p raw, in two phases
+/// on \p pool (inline when null):
+///  A. one task per group runs its target batch and its reference batch;
+///  B. the measure-level features (the kernel path with a registry that
+///     fuses the built-ins, \p share_measure_features) are computed once
+///     per (target grid, reference grid) pair, then one task per view
+///     normalizes, runs ComputeAll, writes the row and frees the view's
+///     materialization.
+/// Returns the first failure in group order (phase A) or view order
+/// (phase B) — the status of a sequential build.  When \p feature_seconds
+/// is set it observes phase B's wall time once.
+vs::Status MaterializeGroups(const data::GroupByExecutor& executor,
+                             const std::vector<ViewSpec>& views,
+                             const std::vector<std::vector<size_t>>& groups,
+                             const GroupPasses& passes,
+                             const UtilityFeatureRegistry& registry,
+                             bool share_measure_features, ThreadPool* pool,
+                             ml::Matrix* raw,
+                             obs::Histogram* feature_seconds) {
+  struct GroupResults {
+    std::vector<data::GroupByResult> targets;
+    std::vector<data::GroupByResult> references;
+  };
+  std::vector<GroupResults> results(groups.size());
+  VS_RETURN_IF_ERROR(RunTasks(pool, groups.size(), [&](size_t g) {
+    std::vector<data::GroupBySpec> specs;
+    specs.reserve(groups[g].size());
+    for (size_t i : groups[g]) specs.push_back(views[i].ToGroupBySpec());
+    VS_ASSIGN_OR_RETURN(results[g].targets,
+                        passes.gathered != nullptr
+                            ? executor.ExecuteBatch(specs, *passes.gathered)
+                            : executor.ExecuteBatch(specs, passes.target));
+    VS_ASSIGN_OR_RETURN(results[g].references,
+                        executor.ExecuteBatch(specs, passes.reference));
+    return vs::Status::OK();
+  }));
+
+  Stopwatch feature_clock;
+  // Views in (group, member) order, and with shared measure features the
+  // grid pair each one reads.
+  struct ViewTask {
+    size_t group;
+    size_t member;
+    size_t pair;
+  };
+  std::vector<ViewTask> tasks;
+  using GridPair = std::pair<const data::KernelGrid*, const data::KernelGrid*>;
+  std::vector<GridPair> pairs;
+  std::vector<size_t> pair_first_task;
+  for (size_t g = 0; g < groups.size(); ++g) {
+    for (size_t k = 0; k < groups[g].size(); ++k) {
+      size_t pair = 0;
+      if (share_measure_features) {
+        const GridPair grids(results[g].targets[k].moments.get(),
+                             results[g].references[k].moments.get());
+        pair = static_cast<size_t>(
+            std::find(pairs.begin(), pairs.end(), grids) - pairs.begin());
+        if (pair == pairs.size()) {
+          pairs.push_back(grids);
+          pair_first_task.push_back(tasks.size());
+        }
+      }
+      tasks.push_back({g, k, pair});
+    }
+  }
+  // A pair's failure is reported by each of its views, after the view's
+  // own normalization: the order a view-at-a-time build meets it in.
+  std::vector<vs::Status> pair_status(pairs.size());
+  std::vector<MeasureFeatures> pair_features(pairs.size());
+  RunTasks(pool, pairs.size(), [&](size_t p) {
+    const ViewTask& first = tasks[pair_first_task[p]];
+    vs::Result<MeasureFeatures> measure = ComputeMeasureFeatures(
+        results[first.group].targets[first.member],
+        results[first.group].references[first.member]);
+    if (measure.ok()) {
+      pair_features[p] = *measure;
+    } else {
+      pair_status[p] = measure.status();
+    }
+    return vs::Status::OK();  // reported by the pair's views
+  });
+  VS_RETURN_IF_ERROR(RunTasks(pool, tasks.size(), [&](size_t t) {
+    const ViewTask& task = tasks[t];
     ViewMaterialization mat;
-    mat.target = std::move(targets[k]);
-    mat.reference = std::move(references[k]);
-    VS_ASSIGN_OR_RETURN(mat.target_dist,
-                        stats::Normalize(mat.target.values));
+    mat.target = std::move(results[task.group].targets[task.member]);
+    mat.reference = std::move(results[task.group].references[task.member]);
+    VS_ASSIGN_OR_RETURN(mat.target_dist, stats::Normalize(mat.target.values));
     VS_ASSIGN_OR_RETURN(mat.reference_dist,
                         stats::Normalize(mat.reference.values));
-    Stopwatch feature_clock;
     ml::Vector features;
     if (share_measure_features) {
-      const GridPair grids(mat.target.moments, mat.reference.moments);
-      auto it = std::find_if(
-          measure_features.begin(), measure_features.end(),
-          [&grids](const auto& entry) { return entry.first == grids; });
-      if (it == measure_features.end()) {
-        VS_ASSIGN_OR_RETURN(
-            MeasureFeatures measure,
-            ComputeMeasureFeatures(mat.target, mat.reference));
-        it = measure_features.emplace(it, grids, measure);
-      }
-      VS_ASSIGN_OR_RETURN(features, registry.ComputeAll(mat, it->second));
+      VS_RETURN_IF_ERROR(pair_status[task.pair]);
+      VS_ASSIGN_OR_RETURN(features,
+                          registry.ComputeAll(mat, pair_features[task.pair]));
     } else {
       VS_ASSIGN_OR_RETURN(features, registry.ComputeAll(mat));
     }
-    if (feature_seconds != nullptr) {
-      feature_seconds->Observe(feature_clock.ElapsedSeconds());
-    }
-    for (size_t j = 0; j < features.size(); ++j) {
-      (*raw)(members[k], j) = features[j];
-    }
+    const size_t row = groups[task.group][task.member];
+    for (size_t j = 0; j < features.size(); ++j) (*raw)(row, j) = features[j];
+    return vs::Status::OK();
+  }));
+  if (feature_seconds != nullptr) {
+    feature_seconds->Observe(feature_clock.ElapsedSeconds());
   }
   return vs::Status::OK();
 }
@@ -247,9 +328,10 @@ vs::Result<FeatureMatrix> FeatureMatrix::Build(
 
   // Every group's target pass reads the same measures over the same
   // selection, so the kernel path gathers them once, aligned with the
-  // selection (data/groupby_kernel.h).  Reference passes keep reading in
-  // place (memo-served on exact builds).  The copies are shared read-only
-  // by the pool workers and freed when Build returns.
+  // selection (data/groupby_kernel.h), one pool task per measure.
+  // Reference passes keep reading in place (memo-served on exact builds).
+  // The copies are shared read-only by the group tasks and freed when
+  // Build returns.
   std::optional<data::GatheredMeasures> target_measures;
   if (options.use_kernels) {
     std::vector<std::string> measures;
@@ -259,51 +341,30 @@ vs::Result<FeatureMatrix> FeatureMatrix::Build(
         measures.push_back(view.measure);
       }
     }
-    VS_ASSIGN_OR_RETURN(target_measures,
-                        executor.GatherMeasures(measures, *target_sel));
+    VS_ASSIGN_OR_RETURN(
+        target_measures,
+        executor.GatherMeasures(measures, *target_sel, options.pool));
   }
 
   GroupPasses passes;
   passes.gathered = target_measures ? &*target_measures : nullptr;
   passes.target = target_sel;
   passes.reference = ref_sel;
-  const bool share_measure_features =
-      options.use_kernels && registry->fuses_builtins();
-  auto compute_group = [&](size_t g) -> vs::Status {
-    const std::vector<size_t>& members = groups[g];
-    Stopwatch group_clock;
-    VS_RETURN_IF_ERROR(MaterializeGroup(
-        executor, imm->views, members, passes, *registry,
-        share_measure_features, &state->raw,
-        observe ? metrics.feature_seconds : nullptr));
-    if (observe) {
-      // Shared scans make the per-view cost the group cost amortized over
-      // its members; one observation per view keeps the histogram count
-      // meaningful as "views built".
-      const double per_view =
-          group_clock.ElapsedSeconds() / static_cast<double>(members.size());
-      for (size_t k = 0; k < members.size(); ++k) {
-        metrics.view_seconds->Observe(per_view);
-      }
-    }
-    return vs::Status::OK();
-  };
-
-  if (options.num_threads == 0) {
-    for (size_t g = 0; g < groups.size(); ++g) {
-      VS_RETURN_IF_ERROR(compute_group(g));
-    }
-  } else {
-    // Groups are independent and write disjoint rows.  The executor
-    // keeps no state of its own (ranges and full-table grids live in the
-    // thread-safe table memo), so one executor serves every worker.
-    std::vector<vs::Status> group_status(groups.size());
-    ThreadPool pool(options.num_threads);
-    pool.ParallelFor(0, groups.size(), [&](size_t g) {
-      group_status[g] = compute_group(g);
-    });
-    for (const vs::Status& s : group_status) {
-      VS_RETURN_IF_ERROR(s);
+  // Groups and views are independent and write disjoint rows.  The
+  // executor keeps no state of its own (ranges and full-table grids live
+  // in the thread-safe table memo), so one executor serves every task.
+  Stopwatch groups_clock;
+  VS_RETURN_IF_ERROR(MaterializeGroups(
+      executor, imm->views, groups, passes, *registry,
+      options.use_kernels && registry->fuses_builtins(), options.pool,
+      &state->raw, observe ? metrics.feature_seconds : nullptr));
+  if (observe) {
+    // One observation per view keeps the histogram count meaningful as
+    // "views built"; each is the view's share of the passes and features.
+    const double per_view = groups_clock.ElapsedSeconds() /
+                            static_cast<double>(imm->views.size());
+    for (size_t i = 0; i < imm->views.size(); ++i) {
+      metrics.view_seconds->Observe(per_view);
     }
   }
   if (exact_build) {
@@ -391,12 +452,13 @@ vs::Status FeatureMatrix::RefineRows(
   data::GroupByExecutor executor(table_, executor_options);
   GroupPasses passes;
   passes.target = &imm_->query_selection;
-  const bool share_measure_features =
-      use_kernels_ && registry_->fuses_builtins();
+  // One group at a time, inline: a failure leaves the groups before it
+  // refined.
   for (const auto& [key, members] : groups) {
-    VS_RETURN_IF_ERROR(MaterializeGroup(executor, views, members, passes,
-                                        *registry_, share_measure_features,
-                                        &state.raw, nullptr));
+    VS_RETURN_IF_ERROR(MaterializeGroups(
+        executor, views, {members}, passes, *registry_,
+        use_kernels_ && registry_->fuses_builtins(), /*pool=*/nullptr,
+        &state.raw, nullptr));
     for (size_t row : members) {
       state.exact[row] = true;
       ++state.num_exact;

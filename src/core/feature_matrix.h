@@ -38,6 +38,10 @@
 #include "data/table.h"
 #include "ml/matrix.h"
 
+namespace vs {
+class ThreadPool;
+}  // namespace vs
+
 namespace vs::core {
 
 /// \brief Controls feature-matrix construction.
@@ -47,9 +51,13 @@ struct FeatureMatrixOptions {
   double sample_rate = 1.0;
   /// Seed of the sampling pass.
   uint64_t seed = 123;
-  /// Worker threads for the per-view feature computation (views are
-  /// independent); 0 = sequential.  Results are identical either way.
-  size_t num_threads = 0;
+  /// Borrowed pool for the build's three phases — the target measure
+  /// gather, one task per (dimension, bins) group for its target and
+  /// reference passes, then one task per view for its features — with the
+  /// calling thread running tasks too; nullptr runs them inline.  The
+  /// matrix is bit-identical either way, and one pool may serve concurrent
+  /// builds.  RefineRows always runs inline.
+  ThreadPool* pool = nullptr;
   /// Share one scan across all views of a dimension (SeeDB-style
   /// batching; ~5x faster builds).  Disable to reproduce the per-view
   /// execution cost model of the paper's prototype — Figures 6/7 measure
@@ -60,7 +68,7 @@ struct FeatureMatrixOptions {
   /// Route group-by execution through the typed aggregation kernel
   /// (data/groupby_kernel.h).  false reinstates the scalar fold — the
   /// oracle path of the differential kernel-equivalence tests.  Results
-  /// agree within accumulation tolerance, so (like num_threads) this
+  /// agree within accumulation tolerance, so (like pool) this
   /// field is excluded from the cache-identity hash.
   bool use_kernels = true;
 };

@@ -80,7 +80,7 @@ uint64_t HashBuildOptions(const FeatureMatrixOptions& options) {
   hash = MixDouble(hash, options.sample_rate);
   hash = MixU64(hash, options.seed);
   hash = MixU64(hash, options.shared_scan ? 1 : 0);
-  // num_threads and use_kernels are deliberately excluded: both pick an
+  // pool and use_kernels are deliberately excluded: both pick an
   // execution strategy, not a result — matrices built either way are
   // interchangeable cache entries.
   return hash;

@@ -21,7 +21,7 @@
 ///     syntactically different filters selecting the same rows share a
 ///     key, and the same text over a changed table does not;
 ///   * value-affecting options (sample_rate, seed, shared_scan) are
-///     included; num_threads is deliberately excluded — it is a pure
+///     included; the build pool is deliberately excluded — it is a pure
 ///     execution detail and results are documented identical either way.
 
 #include <cstdint>
@@ -51,7 +51,7 @@ uint64_t HashViewSpecs(const std::vector<ViewSpec>& views);
 uint64_t HashRegistry(const UtilityFeatureRegistry& registry);
 
 /// Hash of the value-affecting build options (sample_rate, seed,
-/// shared_scan; num_threads excluded — see file comment).
+/// shared_scan; pool excluded — see file comment).
 uint64_t HashBuildOptions(const FeatureMatrixOptions& options);
 
 /// The cache key: "<fnv(table_id)>-<sel>-<views>-<reg>-<opt>" as fixed-width

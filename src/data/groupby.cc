@@ -300,7 +300,7 @@ vs::Status ValidateBatch(const std::vector<GroupBySpec>& specs) {
 
 vs::Result<GatheredMeasures> GroupByExecutor::GatherMeasures(
     const std::vector<std::string>& measures,
-    const SelectionVector& selection) const {
+    const SelectionVector& selection, ThreadPool* pool) const {
   std::vector<const Column*> columns;  // owned by table_
   columns.reserve(measures.size());
   for (const std::string& measure : measures) {
@@ -308,7 +308,8 @@ vs::Result<GatheredMeasures> GroupByExecutor::GatherMeasures(
     VS_RETURN_IF_ERROR(NumericColumnView::Wrap(col.get()).status());
     columns.push_back(col.get());
   }
-  return GatheredMeasures::Gather(columns, selection, table_->num_rows());
+  return GatheredMeasures::Gather(columns, selection, table_->num_rows(),
+                                 pool);
 }
 
 vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatch(

@@ -113,11 +113,12 @@ class GroupByExecutor {
 
   /// Gathers the measure columns named in \p measures over \p selection
   /// (borrowed; must outlive the result) for the ExecuteBatch overload
-  /// below.  Fails like ExecuteBatch on an unknown or non-numeric measure,
-  /// and with OutOfRange on a bad selection row id, before any scan.
+  /// below, one \p pool task per measure (inline when \p pool is null).
+  /// Fails like ExecuteBatch on an unknown or non-numeric measure, and
+  /// with OutOfRange on a bad selection row id, before any scan.
   vs::Result<GatheredMeasures> GatherMeasures(
       const std::vector<std::string>& measures,
-      const SelectionVector& selection) const;
+      const SelectionVector& selection, ThreadPool* pool = nullptr) const;
 
   /// ExecuteBatch over gathered.selection() that folds every spec's
   /// measure from its copy in \p gathered (each must have been gathered

@@ -5,6 +5,7 @@
 #include <limits>
 #include <type_traits>
 
+#include "common/threadpool.h"
 #include "testing/fault_injection.h"
 
 namespace vs::data {
@@ -421,20 +422,31 @@ vs::Result<std::vector<KernelGrid>> GroupByKernelRun(
 
 vs::Result<GatheredMeasures> GatheredMeasures::Gather(
     const std::vector<const Column*>& columns,
-    const SelectionVector& selection, size_t table_rows) {
+    const SelectionVector& selection, size_t table_rows, ThreadPool* pool) {
   for (uint32_t r : selection) {
     if (r >= table_rows) {
       return vs::Status::OutOfRange("selection row id out of range");
     }
   }
-  GatheredMeasures out;
-  out.selection_ = &selection;
-  out.columns_.reserve(columns.size());
+  std::vector<TypedMeasure> typed;
+  typed.reserve(columns.size());
   for (const Column* column : columns) {
     VS_ASSIGN_OR_RETURN(TypedMeasure measure, ResolveMeasure(column));
-    out.columns_.emplace_back(column, measure.i64 != nullptr
-                                          ? GatherColumn(*measure.i64, selection)
-                                          : GatherColumn(*measure.f64, selection));
+    typed.push_back(measure);
+  }
+  GatheredMeasures out;
+  out.selection_ = &selection;
+  out.columns_.resize(columns.size());
+  auto gather = [&](size_t c) {
+    const TypedMeasure& measure = typed[c];
+    out.columns_[c] = {columns[c], measure.i64 != nullptr
+                                       ? GatherColumn(*measure.i64, selection)
+                                       : GatherColumn(*measure.f64, selection)};
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(0, columns.size(), gather);
+  } else {
+    for (size_t c = 0; c < columns.size(); ++c) gather(c);
   }
   return out;
 }

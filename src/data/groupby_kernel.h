@@ -67,6 +67,10 @@
 #include "data/column.h"
 #include "data/table.h"
 
+namespace vs {
+class ThreadPool;
+}  // namespace vs
+
 namespace vs::data {
 
 /// Equi-width binning of a numeric dimension, precomputed by the executor
@@ -120,10 +124,12 @@ class GatheredMeasures {
  public:
   /// Checks every row id of \p selection against \p table_rows (OutOfRange
   /// before any cell is read), then copies the selected cells of each
-  /// column in \p columns (int64 or double; InvalidArgument otherwise).
+  /// column in \p columns (int64 or double; InvalidArgument otherwise),
+  /// one \p pool task per column (inline when \p pool is null).
   static vs::Result<GatheredMeasures> Gather(
       const std::vector<const Column*>& columns,
-      const SelectionVector& selection, size_t table_rows);
+      const SelectionVector& selection, size_t table_rows,
+      ThreadPool* pool = nullptr);
 
   const SelectionVector& selection() const { return *selection_; }
 

@@ -93,6 +93,8 @@ vs::Status LogisticRegression::Fit(const Matrix& x, const Vector& y) {
   bool newton_ok = true;
   Vector p;
   Vector g;
+  // Loss at w: computed once, then carried over from each accepted step.
+  double loss_before = Loss(x, y, w, options_.l2, options_.fit_intercept);
   for (int iter = 0; iter < options_.max_newton_iters; ++iter) {
     predict_all(&p);
     gradient(p, &g);
@@ -122,7 +124,6 @@ vs::Status LogisticRegression::Fit(const Matrix& x, const Vector& y) {
       newton_ok = false;
       break;
     }
-    double loss_before = Loss(x, y, w, options_.l2, options_.fit_intercept);
     // Backtracking line search on the Newton direction.
     double scale = 1.0;
     Vector w_next = w;
@@ -132,6 +133,7 @@ vs::Status LogisticRegression::Fit(const Matrix& x, const Vector& y) {
       const double loss_after =
           Loss(x, y, w_next, options_.l2, options_.fit_intercept);
       if (std::isfinite(loss_after) && loss_after <= loss_before) {
+        loss_before = loss_after;
         improved = true;
         break;
       }

@@ -23,16 +23,6 @@ Matrix Matrix::Identity(size_t n) {
   return m;
 }
 
-double& Matrix::operator()(size_t r, size_t c) {
-  assert(r < rows_ && c < cols_);
-  return data_[r * cols_ + c];
-}
-
-double Matrix::operator()(size_t r, size_t c) const {
-  assert(r < rows_ && c < cols_);
-  return data_[r * cols_ + c];
-}
-
 Vector Matrix::Row(size_t r) const {
   assert(r < rows_);
   return Vector(data_.begin() + r * cols_, data_.begin() + (r + 1) * cols_);

@@ -6,6 +6,7 @@
 /// functions over it.  Dimensions here are tiny (features x features), so
 /// clarity beats blocking/vectorization tricks.
 
+#include <cassert>
 #include <cstddef>
 #include <initializer_list>
 #include <vector>
@@ -35,9 +36,16 @@ class Matrix {
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
 
-  /// Element access (debug-asserted bounds).
-  double& operator()(size_t r, size_t c);
-  double operator()(size_t r, size_t c) const;
+  /// Element access (debug-asserted bounds).  Inline: the estimators'
+  /// Hessian, Gram and Cholesky loops index element by element.
+  double& operator()(size_t r, size_t c) {
+    assert(r < rows_ && c < cols_);
+    return data_[r * cols_ + c];
+  }
+  double operator()(size_t r, size_t c) const {
+    assert(r < rows_ && c < cols_);
+    return data_[r * cols_ + c];
+  }
 
   /// Pointer to the start of row \p r.
   double* RowPtr(size_t r) { return data_.data() + r * cols_; }

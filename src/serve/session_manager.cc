@@ -160,6 +160,7 @@ SessionManager::SessionManager(const SessionManagerOptions& options,
       default_table_path_(std::move(default_table_path)),
       registry_(core::UtilityFeatureRegistry::Default()),
       clock_(options.clock != nullptr ? options.clock : Clock::Real()),
+      build_pool_(options.feature_threads),
       matrix_cache_(MatrixCacheOptions(options)),
       id_rng_(options.seed) {
   SessionMetrics::Get();  // register eagerly
@@ -251,7 +252,7 @@ SessionManager::BuildSession(const std::string& table_path,
   }
 
   core::FeatureMatrixOptions build_options;
-  build_options.num_threads = options_.feature_threads;
+  build_options.pool = &build_pool_;
   // Canonical matrices are shared across sessions through the cache; the
   // table id folds in the row count so a reloaded-and-changed file under
   // the same path cannot alias a stale entry.

@@ -89,13 +89,73 @@ TEST(ThreadPoolTest, CompletedCounterMatchesSubmittedTasks) {
 TEST(ThreadPoolTest, CompletedCounterMatchesParallelForChunks) {
   ThreadPool pool(4);
   std::atomic<int> hits{0};
-  // ParallelFor splits [0, n) into min(n, threads * 4) chunk tasks.
+  // ParallelFor splits [0, n) into chunks of ceil(n / min(n, (threads + 1)
+  // * 16)) indices, each counted once whether the caller or a worker ran
+  // it; the helper tasks that claim chunks are not counted themselves.
   pool.ParallelFor(0, 3, [&hits](size_t) { hits.fetch_add(1); });
   EXPECT_EQ(hits.load(), 3);
   EXPECT_EQ(pool.tasks_completed(), 3u);
-  pool.ParallelFor(0, 100, [&hits](size_t) { hits.fetch_add(1); });
-  EXPECT_EQ(hits.load(), 103);
-  EXPECT_EQ(pool.tasks_completed(), 3u + 16u);
+  pool.ParallelFor(0, 200, [&hits](size_t) { hits.fetch_add(1); });
+  EXPECT_EQ(hits.load(), 203);
+  EXPECT_EQ(pool.tasks_completed(), 3u + 67u);  // chunks of 3
+  pool.WaitIdle();  // late helpers have exited without counting
+  EXPECT_EQ(pool.tasks_completed(), 3u + 67u);
+}
+
+/// Polls \p flag for up to five seconds.
+bool BecomesTrue(const std::atomic<bool>& flag) {
+  for (int i = 0; i < 5000 && !flag.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return flag.load();
+}
+
+TEST(ThreadPoolTest, ConcurrentParallelForsWaitOnlyForTheirOwnRange) {
+  ThreadPool pool(2);
+  // Caller A's three slow indices park A itself and both workers.
+  std::mutex gate;
+  gate.lock();
+  std::atomic<int> parked{0};
+  std::vector<std::atomic<int>> slow_hits(3);
+  std::atomic<bool> a_done{false};
+  std::thread a([&] {
+    pool.ParallelFor(0, 3, [&](size_t i) {
+      parked.fetch_add(1);
+      gate.lock();
+      gate.unlock();
+      slow_hits[i].fetch_add(1);
+    });
+    a_done.store(true);
+  });
+  while (parked.load() < 3) std::this_thread::yield();
+
+  // Caller B shares the pool; with no worker free it runs its whole range
+  // itself and returns while A's tasks are still parked.
+  std::vector<std::atomic<int>> fast_hits(50);
+  std::atomic<bool> b_done{false};
+  std::thread b([&] {
+    pool.ParallelFor(0, 50, [&](size_t i) { fast_hits[i].fetch_add(1); });
+    b_done.store(true);
+  });
+  EXPECT_TRUE(BecomesTrue(b_done));
+  EXPECT_FALSE(a_done.load());
+  for (const auto& h : fast_hits) EXPECT_EQ(h.load(), 1);
+
+  gate.unlock();
+  EXPECT_TRUE(BecomesTrue(a_done));
+  a.join();
+  b.join();
+  for (const auto& h : slow_hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, CallerRunsEveryChunkOnInlinePool) {
+  ThreadPool pool(0);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(40);
+  pool.ParallelFor(0, 40, [&ran_on](size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
+  for (const std::thread::id& id : ran_on) EXPECT_EQ(id, caller);
 }
 
 TEST(ThreadPoolTest, InlineModeCountsWork) {
@@ -150,16 +210,15 @@ TEST(ThreadPoolTest, RejectPolicyShedsTasksAtCapacity) {
 }
 
 TEST(ThreadPoolTest, ParallelForCoversRangeOnRejectPool) {
-  // A kReject pool with a full queue sheds the chunk submissions;
-  // ParallelFor must still run every index (inline on the caller).
+  // A kReject pool with a full queue takes no helper; the caller runs
+  // every chunk itself and returns without waiting for the parked worker.
   ThreadPoolOptions options;
   options.num_threads = 1;
   options.max_queue = 1;
   options.overflow = QueueOverflowPolicy::kReject;
   ThreadPool pool(options);
 
-  // Park the worker, then fill the single queue slot: every chunk
-  // submission from ParallelFor is now rejected.
+  // Park the worker, then fill the single queue slot.
   std::mutex gate;
   gate.lock();
   std::atomic<bool> worker_running{false};
@@ -172,21 +231,25 @@ TEST(ThreadPoolTest, ParallelForCoversRangeOnRejectPool) {
   ASSERT_TRUE(pool.Submit([] {}));  // occupies the queue slot
 
   std::vector<std::atomic<int>> hits(64);
-  std::thread caller([&pool, &hits] {
-    pool.ParallelFor(0, 64, [&hits](size_t i) { hits[i].fetch_add(1); });
+  std::vector<std::thread::id> ran_on(64);
+  std::thread::id caller_id;
+  std::atomic<bool> done{false};
+  std::thread caller([&] {
+    caller_id = std::this_thread::get_id();
+    pool.ParallelFor(0, 64, [&](size_t i) {
+      hits[i].fetch_add(1);
+      ran_on[i] = std::this_thread::get_id();
+    });
+    done.store(true);
   });
-  // The inline fallback covers the whole range while the worker is still
-  // parked; only then release the pool so ParallelFor's WaitIdle returns.
-  auto all_hit = [&hits] {
-    for (const auto& h : hits) {
-      if (h.load() == 0) return false;
-    }
-    return true;
-  };
-  while (!all_hit()) std::this_thread::yield();
+  const bool returned_while_parked = BecomesTrue(done);
   gate.unlock();
   caller.join();
+  EXPECT_TRUE(returned_while_parked);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  for (const std::thread::id& id : ran_on) EXPECT_EQ(id, caller_id);
+  EXPECT_EQ(pool.tasks_rejected(), 0u);  // a dropped helper is no rejection
+  pool.WaitIdle();
 }
 
 TEST(ThreadPoolTest, BlockPolicyWaitsForSpace) {

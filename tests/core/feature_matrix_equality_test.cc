@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/threadpool.h"
 #include "core/feature_matrix.h"
 #include "core/view_data.h"
 #include "data/groupby.h"
@@ -148,8 +149,9 @@ TEST(FeatureMatrixEqualityTest, ExactBuildMatchesPerViewComputeAll) {
     const ml::Matrix want =
         PerViewFeatures(table, views, query, nullptr, registry);
     for (size_t threads : {size_t{0}, size_t{2}}) {
+      ThreadPool pool(threads);
       FeatureMatrixOptions options;
-      options.num_threads = threads;
+      options.pool = &pool;
       auto fm = FeatureMatrix::Build(&table, views, query, &registry, options);
       ASSERT_TRUE(fm.ok()) << fm.status().ToString();
       ExpectBitEqual(want, fm->raw(), views, registry);

@@ -1,17 +1,22 @@
 #include "core/feature_matrix.h"
 
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/threadpool.h"
 #include "core_test_util.h"
 #include "data/generator.h"
+#include "data/groupby.h"
 #include "data/predicate.h"
 #include "data/table_memo.h"
+#include "obs/metrics.h"
 #include "testing/fault_injection.h"
 
 namespace vs::core {
@@ -186,39 +191,45 @@ TEST(FeatureMatrixTest, RefineCostReflectsTableSize) {
                                  world.query.size()));
 }
 
+/// Bitwise equality of two raw matrices (EXPECT_DOUBLE_EQ allows 4 ulps).
+void ExpectBitEqualRaw(const FeatureMatrix& want, const FeatureMatrix& got) {
+  ASSERT_EQ(want.raw().rows(), got.raw().rows());
+  ASSERT_EQ(want.raw().cols(), got.raw().cols());
+  for (size_t i = 0; i < want.raw().rows(); ++i) {
+    for (size_t j = 0; j < want.raw().cols(); ++j) {
+      const double x = want.raw()(i, j);
+      const double y = got.raw()(i, j);
+      EXPECT_EQ(std::memcmp(&x, &y, sizeof(double)), 0)
+          << "view " << i << " feature " << j << ": " << x << " vs " << y;
+    }
+  }
+}
+
 TEST(FeatureMatrixTest, ParallelBuildMatchesSequential) {
   auto world = testutil::MakeMiniWorld();
+  ThreadPool pool(3);
   FeatureMatrixOptions parallel_options;
-  parallel_options.num_threads = 3;
+  parallel_options.pool = &pool;
   auto parallel = FeatureMatrix::Build(world.table.get(), world.views,
                                        world.query, world.registry.get(),
                                        parallel_options);
   ASSERT_TRUE(parallel.ok());
-  for (size_t i = 0; i < world.matrix->num_views(); ++i) {
-    for (size_t j = 0; j < world.matrix->num_features(); ++j) {
-      EXPECT_DOUBLE_EQ(parallel->raw()(i, j), world.matrix->raw()(i, j))
-          << "view " << i << " feature " << j;
-    }
-  }
+  ExpectBitEqualRaw(*world.matrix, *parallel);
   EXPECT_TRUE(parallel->AllExact());
 }
 
 TEST(FeatureMatrixTest, ParallelRoughBuildMatchesSequentialRough) {
   auto sequential = testutil::MakeMiniWorld(0.4, 9);
+  ThreadPool pool(2);
   FeatureMatrixOptions options;
   options.sample_rate = 0.4;
   options.seed = 9;
-  options.num_threads = 2;
+  options.pool = &pool;
   auto parallel = FeatureMatrix::Build(
       sequential.table.get(), sequential.views, sequential.query,
       sequential.registry.get(), options);
   ASSERT_TRUE(parallel.ok());
-  for (size_t i = 0; i < sequential.matrix->num_views(); ++i) {
-    for (size_t j = 0; j < sequential.matrix->num_features(); ++j) {
-      EXPECT_DOUBLE_EQ(parallel->raw()(i, j),
-                       sequential.matrix->raw()(i, j));
-    }
-  }
+  ExpectBitEqualRaw(*sequential.matrix, *parallel);
   EXPECT_FALSE(parallel->AllExact());
 }
 
@@ -407,8 +418,9 @@ TEST_F(FeatureMatrixMemoTest, ExactBuildSameWithEmptyAndFilledMemo) {
 
   // Threaded builds racing to fill a fresh memo, then reading it.
   const data::Table raced = EmptyMemoTable();
+  ThreadPool pool(4);
   FeatureMatrixOptions threaded;
-  threaded.num_threads = 4;
+  threaded.pool = &pool;
   for (int round = 0; round < 2; ++round) {
     auto got =
         FeatureMatrix::Build(&raced, *views_, *query_, &registry, threaded);
@@ -552,7 +564,7 @@ class FeatureMatrixGatherTest : public ::testing::Test {
     }
   }
 
-  /// Gathered builds under every (shared_scan, num_threads) setting equal
+  /// Gathered builds under every (shared_scan, pool size) setting equal
   /// \p want; with \p oracle also the use_kernels = false build.
   static void ExpectBuildsMatch(const data::Table& table,
                                 const std::vector<ViewSpec>& views,
@@ -568,11 +580,12 @@ class FeatureMatrixGatherTest : public ::testing::Test {
         SCOPED_TRACE(std::string("shared_scan ") +
                      (shared_scan ? "on" : "off") + " threads " +
                      std::to_string(threads));
+        ThreadPool pool(threads);
         FeatureMatrixOptions options;
         options.sample_rate = sample_rate;
         options.seed = 11;
         options.shared_scan = shared_scan;
-        options.num_threads = threads;
+        options.pool = &pool;
         auto got = FeatureMatrix::Build(&table, views, query, &registry,
                                         options);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -633,6 +646,238 @@ TEST_F(FeatureMatrixGatherTest, KernelFaultFailsGatheredBuild) {
   auto recovered = FeatureMatrix::Build(&table, views, query, &registry, {});
   ASSERT_TRUE(recovered.ok());
   ExpectSameRaw(*want, *recovered);
+}
+
+// Every pool size builds the sequential matrix, bit for bit: exact and
+// rough, shared scans and per-view groups.
+TEST_F(FeatureMatrixGatherTest, EveryPoolSizeMatchesSequential) {
+  const data::Table table = MakeTable(6'000, 500, 101);
+  const auto views = *EnumerateViews(table, {});
+  const data::SelectionVector query = Subset(table.num_rows(), 0.35, 102);
+  const UtilityFeatureRegistry registry = UtilityFeatureRegistry::Default();
+  for (const double sample_rate : {1.0, 0.3}) {
+    for (const bool shared_scan : {true, false}) {
+      FeatureMatrixOptions options;
+      options.sample_rate = sample_rate;
+      options.seed = 5;
+      options.shared_scan = shared_scan;
+      auto want = FeatureMatrix::Build(&table, views, query, &registry,
+                                       options);
+      ASSERT_TRUE(want.ok());
+      for (const size_t workers : {0, 1, 3, 8}) {
+        SCOPED_TRACE("alpha " + std::to_string(sample_rate) + " shared " +
+                     std::to_string(shared_scan) + " workers " +
+                     std::to_string(workers));
+        ThreadPool pool(workers);
+        options.pool = &pool;
+        auto got = FeatureMatrix::Build(&table, views, query, &registry,
+                                        options);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ExpectSameRaw(*want, *got);
+        EXPECT_EQ(got->AllExact(), sample_rate >= 1.0);
+        options.pool = nullptr;
+      }
+    }
+  }
+}
+
+// Four threads build different subsets at once on one shared pool (the
+// serving layer's concurrent creates); each gets its sequential matrix.
+TEST_F(FeatureMatrixGatherTest, ConcurrentBuildsShareOnePool) {
+  const data::Table table = MakeTable(8'000, 700, 111);
+  const auto views = *EnumerateViews(table, {});
+  const UtilityFeatureRegistry registry = UtilityFeatureRegistry::Default();
+  constexpr size_t kBuilders = 4;
+  std::vector<data::SelectionVector> queries;
+  std::vector<FeatureMatrix> want;
+  for (size_t b = 0; b < kBuilders; ++b) {
+    queries.push_back(Subset(table.num_rows(), 0.1 + 0.2 * b, 112 + b));
+    auto fm = FeatureMatrix::Build(&table, views, queries[b], &registry, {});
+    ASSERT_TRUE(fm.ok());
+    want.push_back(*std::move(fm));
+  }
+  ThreadPool pool(3);
+  std::vector<std::optional<FeatureMatrix>> got(kBuilders);
+  std::vector<std::string> errors(kBuilders);
+  std::vector<std::thread> builders;
+  for (size_t b = 0; b < kBuilders; ++b) {
+    builders.emplace_back([&, b] {
+      FeatureMatrixOptions options;
+      options.pool = &pool;
+      for (int round = 0; round < 3; ++round) {
+        auto fm =
+            FeatureMatrix::Build(&table, views, queries[b], &registry, options);
+        if (!fm.ok()) {
+          errors[b] = fm.status().ToString();
+          return;
+        }
+        got[b] = *std::move(fm);
+      }
+    });
+  }
+  for (std::thread& t : builders) t.join();
+  for (size_t b = 0; b < kBuilders; ++b) {
+    SCOPED_TRACE("builder " + std::to_string(b));
+    EXPECT_EQ(errors[b], "");
+    ASSERT_TRUE(got[b].has_value());
+    ExpectSameRaw(want[b], *got[b]);
+  }
+}
+
+// A custom feature runs per view inside the view tasks.
+TEST_F(FeatureMatrixGatherTest, CustomFeatureRegistryMatchesSequential) {
+  const data::Table table = MakeTable(5'000, 400, 121);
+  const auto views = *EnumerateViews(table, {});
+  const data::SelectionVector query = Subset(table.num_rows(), 0.3, 122);
+  UtilityFeatureRegistry registry = UtilityFeatureRegistry::Default();
+  ASSERT_TRUE(registry.Register("TREND", MakeTrendFeature()).ok());
+  auto want = FeatureMatrix::Build(&table, views, query, &registry, {});
+  ASSERT_TRUE(want.ok());
+  ASSERT_EQ(want->num_features(), 9u);
+  ThreadPool pool(3);
+  FeatureMatrixOptions options;
+  options.pool = &pool;
+  auto got = FeatureMatrix::Build(&table, views, query, &registry, options);
+  ASSERT_TRUE(got.ok());
+  ExpectSameRaw(*want, *got);
+}
+
+// An injected kernel failure fails a pooled build with the status of the
+// sequential build, wherever among the pool's tasks it fires.  Each build
+// reads a fresh table, so every one starts from an empty memo and makes
+// the same kernel passes.
+TEST_F(FeatureMatrixGatherTest, KernelFaultReturnsSequentialStatus) {
+  const UtilityFeatureRegistry registry = UtilityFeatureRegistry::Default();
+  ThreadPool pool(3);
+  auto build_with = [&](ThreadPool* with, std::vector<uint64_t> schedule) {
+    const data::Table table = MakeTable(3'000, 60, 131);
+    const auto views = *EnumerateViews(table, {});
+    const data::SelectionVector query = Subset(table.num_rows(), 0.4, 132);
+    fault::FaultInjector injector(1);
+    if (schedule.empty()) {
+      injector.SetProbability("kernel.run_fail", 1.0);
+    } else {
+      injector.SetSchedule("kernel.run_fail", std::move(schedule));
+    }
+    fault::ScopedFaultInjector scoped(&injector);
+    FeatureMatrixOptions options;
+    options.pool = with;
+    return FeatureMatrix::Build(&table, views, query, &registry, options)
+        .status();
+  };
+  // Every hit fails, or exactly the first, second or last kernel pass.
+  for (const std::vector<uint64_t>& schedule :
+       {std::vector<uint64_t>{}, {1}, {2}, {6}}) {
+    SCOPED_TRACE("schedule " + (schedule.empty()
+                                    ? std::string("every hit")
+                                    : std::to_string(schedule[0])));
+    const vs::Status sequential = build_with(nullptr, schedule);
+    ASSERT_FALSE(sequential.ok());
+    for (int run = 0; run < 5; ++run) {
+      const vs::Status pooled = build_with(&pool, schedule);
+      EXPECT_EQ(pooled.code(), sequential.code());
+      EXPECT_EQ(pooled.message(), sequential.message());
+    }
+  }
+}
+
+// Two groups, then two views, fail with different errors: every pooled
+// build reports the first in group or view order, as the inline build
+// does, even when a later task fails first.
+TEST_F(FeatureMatrixGatherTest, FirstFailureInOrderWinsWithPool) {
+  const data::Table table = MakeTable(3'000, 60, 141);
+  const auto views = *EnumerateViews(table, {});
+  const data::SelectionVector query = Subset(table.num_rows(), 0.4, 142);
+  ThreadPool pool(3);
+  FeatureMatrixOptions pooled;
+  pooled.pool = &pool;
+  auto expect_inline_status = [&](const std::vector<ViewSpec>& specs,
+                                  const UtilityFeatureRegistry& registry,
+                                  const std::string& want) {
+    const vs::Status inline_status =
+        FeatureMatrix::Build(&table, specs, query, &registry, {}).status();
+    ASSERT_FALSE(inline_status.ok());
+    EXPECT_NE(inline_status.message().find(want), std::string::npos)
+        << inline_status.ToString();
+    for (int run = 0; run < 10; ++run) {
+      const vs::Status got =
+          FeatureMatrix::Build(&table, specs, query, &registry, pooled)
+              .status();
+      EXPECT_EQ(got.code(), inline_status.code());
+      EXPECT_EQ(got.message(), inline_status.message());
+    }
+  };
+
+  // Phase A: unknown dimensions in the second and the last group.
+  std::vector<ViewSpec> bad_groups = views;
+  ViewSpec first_bad = views.back();
+  first_bad.dimension = "no_such_dimension_a";
+  ViewSpec second_bad = views.back();
+  second_bad.dimension = "no_such_dimension_b";
+  bad_groups.insert(bad_groups.begin() + 1, first_bad);
+  bad_groups.push_back(second_bad);
+  const UtilityFeatureRegistry builtins = UtilityFeatureRegistry::Default();
+  expect_inline_status(bad_groups, builtins, "no_such_dimension_a");
+
+  // Phase B: a custom feature fails slowly on the first view and at once
+  // on the last group's views, so the later failure is recorded first.
+  const data::GroupByExecutor executor(&table);
+  const std::vector<double> first_values =
+      executor.Execute(views.front().ToGroupBySpec(), &query)->values;
+  const size_t fast_bins =
+      static_cast<size_t>(*executor.NumBins(views.back().ToGroupBySpec()));
+  ASSERT_NE(first_values.size(), fast_bins);
+  UtilityFeatureRegistry failing = UtilityFeatureRegistry::Default();
+  ASSERT_TRUE(failing
+                  .Register("FAILS",
+                            [=](const ViewMaterialization& view)
+                                -> vs::Result<double> {
+                              const size_t bins = view.target.num_bins();
+                              if (view.target.values == first_values) {
+                                std::this_thread::sleep_for(
+                                    std::chrono::milliseconds(20));
+                                return vs::Status::Internal("slow failure");
+                              }
+                              if (bins == fast_bins) {
+                                return vs::Status::Internal("fast failure");
+                              }
+                              return 0.0;
+                            })
+                  .ok());
+  expect_inline_status(views, failing, "slow failure");
+}
+
+// feature_seconds holds the feature phase's wall time, so with a pool its
+// sum per build stays within the build's own time (data.groupby_ms, build
+// minus features, cannot go negative).
+TEST_F(FeatureMatrixGatherTest, FeatureSecondsIsWithinBuildSeconds) {
+  const data::Table table = MakeTable(20'000, 5'000, 151);
+  const auto views = *EnumerateViews(table, {});
+  const data::SelectionVector query = Subset(table.num_rows(), 0.5, 152);
+  const UtilityFeatureRegistry registry = UtilityFeatureRegistry::Default();
+  auto& metrics = obs::MetricsRegistry::Default();
+  const bool was_enabled = metrics.enabled();
+  metrics.set_enabled(true);
+  obs::Histogram* build_seconds = metrics.GetHistogram(
+      "feature_matrix.build_seconds", obs::DefaultLatencyBuckets());
+  obs::Histogram* feature_seconds = metrics.GetHistogram(
+      "feature_matrix.feature_seconds", obs::DefaultLatencyBuckets());
+  ThreadPool pool(3);
+  FeatureMatrixOptions options;
+  options.pool = &pool;
+  for (int round = 0; round < 3; ++round) {
+    const double build_before = build_seconds->sum();
+    const double feature_before = feature_seconds->sum();
+    const uint64_t features_observed = feature_seconds->count();
+    ASSERT_TRUE(
+        FeatureMatrix::Build(&table, views, query, &registry, options).ok());
+    const double build = build_seconds->sum() - build_before;
+    const double feature = feature_seconds->sum() - feature_before;
+    EXPECT_GT(feature, 0.0);
+    EXPECT_LE(feature, build);
+    EXPECT_EQ(feature_seconds->count(), features_observed + 1);
+  }
+  metrics.set_enabled(was_enabled);
 }
 
 }  // namespace

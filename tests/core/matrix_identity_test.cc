@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/threadpool.h"
 #include "core_test_util.h"
 
 namespace vs::core {
@@ -91,13 +92,14 @@ TEST(MatrixIdentityTest, KeySensitivity) {
                                         *world.registry, per_view));
 }
 
-TEST(MatrixIdentityTest, NumThreadsDoesNotAffectKey) {
+TEST(MatrixIdentityTest, BuildPoolDoesNotAffectKey) {
   auto world = testutil::MakeMiniWorld();
   FeatureMatrixOptions sequential;
-  sequential.num_threads = 0;
+  sequential.pool = nullptr;
+  ThreadPool pool(8);
   FeatureMatrixOptions parallel;
-  parallel.num_threads = 8;
-  // Results are documented identical across thread counts (see
+  parallel.pool = &pool;
+  // Results are documented identical across pool sizes (see
   // FeatureMatrixTest.ParallelBuildMatchesSequential), so the key must
   // let those builds share one cache slot.
   EXPECT_EQ(FeatureMatrixCacheKey("t", world.query, world.views,

@@ -20,7 +20,7 @@
 ///   viewseeker serve     --table=F [--host=127.0.0.1] [--port=8080]
 ///                        [--max-sessions=256] [--session-ttl=300]
 ///                        [--workers=N] [--max-queued=64]
-///                        [--threads=N]
+///                        [--threads=N]   (build-pool workers; default cores - 1)
 ///                        [--durability-dir=DIR] [--snapshot-every=128]
 ///                        [--no-fsync]
 ///                        [--slow-request-ms=500] [--slo-ms=0]
@@ -391,11 +391,10 @@ int CmdSession(const Args& args) {
   auto views = EnumerateWithArgs(*table, args);
   if (!views.ok()) return Fail(views.status());
 
+  ThreadPool build_pool(static_cast<size_t>(args.GetInt(
+      "threads", static_cast<int64_t>(ThreadPool::DefaultThreads()))));
   core::FeatureMatrixOptions build_options;
-  build_options.num_threads = static_cast<size_t>(
-      args.GetInt("threads",
-                  static_cast<int64_t>(
-                      std::max<size_t>(1, ThreadPool::DefaultThreads()))));
+  build_options.pool = &build_pool;
   auto registry = core::UtilityFeatureRegistry::Default();
   auto matrix = core::FeatureMatrix::Build(&*table, *views, *query,
                                            &registry, build_options);
@@ -500,8 +499,8 @@ int CmdServe(const Args& args) {
   manager_options.max_sessions =
       static_cast<size_t>(args.GetInt("max-sessions", 256));
   manager_options.session_ttl_seconds = args.GetDouble("session-ttl", 300.0);
-  manager_options.feature_threads =
-      static_cast<size_t>(args.GetInt("threads", 0));
+  manager_options.feature_threads = static_cast<size_t>(args.GetInt(
+      "threads", static_cast<int64_t>(manager_options.feature_threads)));
   manager_options.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   manager_options.durability_dir = args.Get("durability-dir");
   manager_options.snapshot_every_labels =
