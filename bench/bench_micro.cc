@@ -17,7 +17,9 @@
 ///       scalar execution model, with the shared-scan scalar oracle
 ///       reported alongside, an exact build over a ~9% range box
 ///       (feature_build_selective, ungated) against that oracle, and the
-///       box's filter alone (select_box, ungated: selected rows and ms).
+///       box's filter alone (select_box, ungated: SelectRows inline against
+///       a pool of ThreadPool::DefaultThreads() workers, with the build
+///       type named beside it).
 ///       Writes a JSON report and exits nonzero when the gated build
 ///       speedup falls below --min-speedup — CI runs this with
 ///       --min-speedup=4 as a smoke gate, and the committed BENCH_PR9.json
@@ -30,9 +32,11 @@
 #include <string>
 #include <vector>
 
+#include "common/build_info.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "common/threadpool.h"
 #include "core/view_data.h"
 #include "core/feature_matrix.h"
 #include "core/view.h"
@@ -574,12 +578,24 @@ int RunKernelGate(int argc, char** argv) {
   }
   const vs::data::SelectionVector& box = *box_or;
   // The filter layer on its own (ungated): the box's two-BETWEEN
-  // conjunction, the first conjunct scanning the table and the second
-  // testing only its survivors.
-  const double select_box_seconds = BestOf(config.repeats, [&] {
-    auto selected = vs::data::SelectRows(table, box_filter);
-    benchmark::DoNotOptimize(selected);
-  });
+  // conjunction, the first conjunct scanning each block and the second
+  // testing only its survivors, inline against the default-sized pool a
+  // serving create borrows ("scalar" = inline, "kernel" = pooled).
+  Comparison select_box;
+  select_box.name = "select_box";
+  select_box.units = static_cast<double>(table.num_rows());
+  const size_t select_workers = vs::ThreadPool::DefaultThreads();
+  {
+    vs::ThreadPool select_pool(select_workers);
+    auto time_select = [&](vs::ThreadPool* pool) {
+      return BestOf(config.repeats, [&] {
+        auto selected = vs::data::SelectRows(table, box_filter, pool);
+        benchmark::DoNotOptimize(selected);
+      });
+    };
+    select_box.scalar_seconds = time_select(nullptr);
+    select_box.kernel_seconds = time_select(&select_pool);
+  }
   auto box_build = [&](const vs::data::Table& over, bool use_kernels) {
     vs::core::FeatureMatrixOptions options;
     options.use_kernels = use_kernels;
@@ -603,6 +619,9 @@ int RunKernelGate(int argc, char** argv) {
       config.repeats, [&] { box_build(table, /*use_kernels=*/true); });
 
   // --- Report --------------------------------------------------------------
+  const std::string build_type = vs::GetBuildInfo().build_type.empty()
+                                     ? "unknown build type"
+                                     : vs::GetBuildInfo().build_type;
   std::printf("%-24s %14s %14s %9s\n", "kernel", "scalar/s", "kernel/s",
               "speedup");
   auto print_row = [](const Comparison& c) {
@@ -613,8 +632,12 @@ int RunKernelGate(int argc, char** argv) {
   print_row(build_vs_shared);
   print_row(build);
   print_row(selective);
-  std::printf("%-24s %14zu rows %9.3f ms  (ungated)\n", "select_box",
-              box.size(), select_box_seconds * 1e3);
+  std::printf(
+      "%-24s %9.3f ms inline %9.3f ms on %zu workers + caller %8.2fx  "
+      "(%zu rows, %s, ungated)\n",
+      select_box.name.c_str(), select_box.scalar_seconds * 1e3,
+      select_box.kernel_seconds * 1e3, select_workers, select_box.speedup(),
+      box.size(), build_type.c_str());
   std::printf(
       "%-24s %14s %14.3e %8.2fx  (filled memo vs empty memo, ungated)\n",
       "feature_matrix_build_memo", "",
@@ -658,8 +681,12 @@ int RunKernelGate(int argc, char** argv) {
       box.size(), selective.scalar_seconds, selective.kernel_seconds,
       selective.speedup(), selective_filled_memo_seconds);
   json += vs::StrFormat(
-      "  \"select_box\": {\"selected_rows\": %zu, \"ms\": %.3f}\n",
-      box.size(), select_box_seconds * 1e3);
+      "  \"select_box\": {\"selected_rows\": %zu, \"inline_ms\": %.3f, "
+      "\"pool_ms\": %.3f, \"pool_workers\": %zu, \"speedup\": %.3f, "
+      "\"build_type\": \"%s\"}\n",
+      box.size(), select_box.scalar_seconds * 1e3,
+      select_box.kernel_seconds * 1e3, select_workers, select_box.speedup(),
+      build_type.c_str());
   json += "}\n";
 
   if (!config.json_out.empty()) {

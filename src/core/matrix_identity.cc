@@ -41,6 +41,16 @@ uint64_t MixDouble(uint64_t hash, double v) {
   return MixU64(hash, std::bit_cast<uint64_t>(v));
 }
 
+constexpr uint64_t kLanePrime1 = 0x9e3779b185ebca87ULL;
+constexpr uint64_t kLanePrime2 = 0xc2b2ae3d27d4eb4fULL;
+
+/// One xxh64 accumulator round.  For a fixed accumulator it maps distinct
+/// words to distinct results, and for a fixed word it is a bijection of
+/// the accumulator, so a change to any one word changes its lane.
+uint64_t LaneRound(uint64_t lane, uint64_t word) {
+  return std::rotl(lane + word * kLanePrime2, 31) * kLanePrime1;
+}
+
 }  // namespace
 
 uint64_t Fnv1a64(const void* data, size_t size, uint64_t seed) {
@@ -48,9 +58,25 @@ uint64_t Fnv1a64(const void* data, size_t size, uint64_t seed) {
 }
 
 uint64_t HashSelection(const data::SelectionVector& selection) {
+  // Row ids go in pairs, as 64-bit words, round-robin into four
+  // independent lanes: 8 rows per stripe.  The length, then the lanes,
+  // then the rows after the last full stripe fold through MixU64.
+  constexpr size_t kStripe = 8;
+  const uint32_t* rows = selection.data();
+  const size_t stripes = selection.size() / kStripe;
+  uint64_t lanes[4] = {kLanePrime1 + kLanePrime2, kLanePrime2, 0,
+                       0 - kLanePrime1};
+  for (size_t s = 0; s < stripes; ++s, rows += kStripe) {
+    for (int l = 0; l < 4; ++l) {
+      const uint64_t word = static_cast<uint64_t>(rows[2 * l]) |
+                            static_cast<uint64_t>(rows[2 * l + 1]) << 32;
+      lanes[l] = LaneRound(lanes[l], word);
+    }
+  }
   uint64_t hash = MixU64(kFnvOffset, selection.size());
-  for (uint32_t row : selection) {
-    hash = MixU64(hash, row);
+  for (uint64_t lane : lanes) hash = MixU64(hash, lane);
+  for (size_t i = stripes * kStripe; i < selection.size(); ++i) {
+    hash = MixU64(hash, selection[i]);
   }
   return hash;
 }

@@ -16,7 +16,9 @@
 /// key:
 ///
 ///   * hashes are FNV-1a 64-bit over explicit byte encodings — no
-///     std::hash, so keys are stable across platforms and runs;
+///     std::hash, so keys are stable across platforms and runs; the
+///     selection, the one long input, is read as 64-bit words of row-id
+///     pairs in four xxh64-style lanes that fold into FNV-1a;
 ///   * the *selection content* is hashed, not the filter text: two
 ///     syntactically different filters selecting the same rows share a
 ///     key, and the same text over a changed table does not;
@@ -40,7 +42,8 @@ namespace vs::core {
 /// tests and for callers hashing auxiliary identity, e.g. table ids).
 uint64_t Fnv1a64(const void* data, size_t size, uint64_t seed = 0);
 
-/// Order-sensitive hash of a selection vector's row ids.
+/// Order-sensitive hash of a selection vector's row ids: its length, four
+/// multiply-rotate lanes over row-id pairs, and the last size % 8 rows.
 uint64_t HashSelection(const data::SelectionVector& selection);
 
 /// Order-sensitive hash of the view space (dimension, measure, function,

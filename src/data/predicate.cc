@@ -1,11 +1,12 @@
 #include "data/predicate.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <iterator>
 #include <memory>
 
 #include "common/string_util.h"
+#include "common/threadpool.h"
 
 namespace vs::data {
 
@@ -47,67 +48,130 @@ bool ApplyOp(CompareOp op, int cmp) {
   return false;
 }
 
-/// Replaces \p out with every row of the domain for which match(row)
-/// holds, in domain order.  The domain is rows[0, n) when \p rows is set,
-/// else the row ids [0, n).  Branch-free: each row id is written at the
-/// cursor, which advances past it only on a match.  The scratch is left
-/// uninitialized, so only the slots up to the last match are touched, and
-/// the output is allocated once at its exact size.
+/// The rows a bound node may keep, all inside one block: rows[0, n)
+/// (sorted) when rows is set, else the contiguous ids [first, first + n).
+struct RowDomain {
+  const uint32_t* rows = nullptr;
+  size_t n = 0;
+  uint32_t first = 0;
+};
+
+/// Block-sized row-id buffers for Or and Not, taken and given back in
+/// stack order.  One SelectScratch serves every block a thread claims in
+/// one SelectRows call, so a buffer is allocated on first use only.
+class SelectScratch {
+ public:
+  uint32_t* Take() {
+    if (taken_ == buffers_.size()) {
+      buffers_.emplace_back(new uint32_t[kSelectBlockRows]);
+    }
+    return buffers_[taken_++].get();
+  }
+  /// Gives back the \p n buffers taken last.
+  void GiveBack(size_t n) { taken_ -= n; }
+
+ private:
+  std::vector<std::unique_ptr<uint32_t[]>> buffers_;
+  size_t taken_ = 0;
+};
+
+/// Writes every row of \p domain for which match(row) holds to \p out, in
+/// domain order, and returns the count.  Branch-free: each row id is
+/// written at the cursor, which advances past it only on a match.  The
+/// cursor never passes the row being read, so \p out may be domain.rows
+/// itself.
 template <typename Match>
-void FilterRows(const uint32_t* rows, size_t n, SelectionVector* out,
-                Match match) {
-  std::unique_ptr<uint32_t[]> scratch(new uint32_t[n + 1]);
-  uint32_t* cursor = scratch.get();
-  if (rows == nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      const auto r = static_cast<uint32_t>(i);
+size_t FilterRows(const RowDomain& domain, uint32_t* out,
+                  const Match& match) {
+  uint32_t* cursor = out;
+  if (domain.rows == nullptr) {
+    for (size_t i = 0; i < domain.n; ++i) {
+      const auto r = static_cast<uint32_t>(domain.first + i);
       *cursor = r;
       cursor += match(r) ? 1 : 0;
     }
   } else {
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t r = rows[i];
+    for (size_t i = 0; i < domain.n; ++i) {
+      const uint32_t r = domain.rows[i];
       *cursor = r;
       cursor += match(r) ? 1 : 0;
     }
   }
-  out->assign(scratch.get(), cursor);
+  return static_cast<size_t>(cursor - out);
 }
 
-/// FilterRows over \p candidates, or over every row of \p table when
-/// \p candidates is null.
+/// Writes the rows of \p domain that are not among \p matched (a
+/// subsequence of the domain, \p m ids) to \p out and returns the count;
+/// one cursor walks the matches in step.  \p out may be domain.rows.
+size_t Subtract(const RowDomain& domain, const uint32_t* matched, size_t m,
+                uint32_t* out) {
+  size_t next = 0;
+  return FilterRows(domain, out, [matched, m, &next](uint32_t r) {
+    const bool hit = next < m && matched[next] == r;
+    next += hit ? 1 : 0;
+    return !hit;
+  });
+}
+
+}  // namespace
+
+class BoundPredicate {
+ public:
+  BoundPredicate() = default;
+  BoundPredicate(const BoundPredicate&) = delete;
+  BoundPredicate& operator=(const BoundPredicate&) = delete;
+  virtual ~BoundPredicate() = default;
+
+  /// Writes the rows of \p domain that match to \p out (room for domain.n
+  /// ids; it may be domain.rows itself), in domain order, and returns the
+  /// count.  \p scratch lends Or and Not their second lists.
+  virtual size_t Select(const RowDomain& domain, uint32_t* out,
+                        SelectScratch* scratch) const = 0;
+};
+
+namespace {
+
+using BoundPtr = std::unique_ptr<const BoundPredicate>;
+
+/// A leaf: one row-local test.
 template <typename Match>
-void FilterCandidates(const Table& table, const SelectionVector* candidates,
-                      SelectionVector* out, Match match) {
-  if (candidates == nullptr) {
-    FilterRows(nullptr, table.num_rows(), out, match);
-  } else {
-    FilterRows(candidates->data(), candidates->size(), out, match);
+class BoundLeaf final : public BoundPredicate {
+ public:
+  explicit BoundLeaf(Match match) : match_(std::move(match)) {}
+
+  size_t Select(const RowDomain& domain, uint32_t* out,
+                SelectScratch*) const override {
+    return FilterRows(domain, out, match_);
   }
+
+ private:
+  Match match_;
+};
+
+template <typename Match>
+BoundPtr Leaf(Match match) {
+  return std::make_unique<BoundLeaf<Match>>(std::move(match));
 }
 
 /// Calls fn(data) on the typed array of a null-free int64 or double
-/// column and returns true; returns false (fn not called) for any other
-/// column, which then takes the null-aware NumericColumnView loop.
+/// column and returns its result; returns nullptr (fn not called) for any
+/// other column, which then takes the null-aware NumericColumnView loop.
 template <typename Fn>
-bool WithNullFreeNumeric(const Column* col, Fn&& fn) {
-  if (col->null_count() != 0) return false;
+BoundPtr WithNullFreeNumeric(const Column* col, Fn&& fn) {
+  if (col->null_count() != 0) return nullptr;
   if (const auto* i64 = dynamic_cast<const Int64Column*>(col)) {
-    fn(i64->data().data());
-    return true;
+    return fn(i64->data().data());
   }
   if (const auto* f64 = dynamic_cast<const DoubleColumn*>(col)) {
-    fn(f64->data().data());
-    return true;
+    return fn(f64->data().data());
   }
-  return false;
+  return nullptr;
 }
 
-/// Filters the candidates on pred(double(data[r])), branch-free.
+/// A leaf testing pred(double(data[r])), branch-free.
 template <typename T, typename Pred>
-void FilterTyped(const Table& table, const SelectionVector* candidates,
-                 const T* data, SelectionVector* out, Pred pred) {
-  FilterCandidates(table, candidates, out, [data, pred](uint32_t r) {
+BoundPtr TypedLeaf(const T* data, Pred pred) {
+  return Leaf([data, pred](uint32_t r) {
     return pred(static_cast<double>(data[r]));
   });
 }
@@ -117,52 +181,52 @@ void FilterTyped(const Table& table, const SelectionVector* candidates,
 /// value matches no operator, exactly as on the null-aware path (and as
 /// in BETWEEN).
 template <typename T>
-void FilterCompare(const Table& table, const SelectionVector* candidates,
-                   const T* data, CompareOp op, double lit,
-                   SelectionVector* out) {
+BoundPtr CompareLeaf(const T* data, CompareOp op, double lit) {
   switch (op) {
     case CompareOp::kEq:
-      return FilterTyped(table, candidates, data, out,
-                         [lit](double v) { return v == lit; });
+      return TypedLeaf(data, [lit](double v) { return v == lit; });
     case CompareOp::kNe:
-      return FilterTyped(table, candidates, data, out,
-                         [lit](double v) { return (v < lit) | (v > lit); });
+      return TypedLeaf(data,
+                       [lit](double v) { return (v < lit) | (v > lit); });
     case CompareOp::kLt:
-      return FilterTyped(table, candidates, data, out,
-                         [lit](double v) { return v < lit; });
+      return TypedLeaf(data, [lit](double v) { return v < lit; });
     case CompareOp::kLe:
-      return FilterTyped(table, candidates, data, out,
-                         [lit](double v) { return v <= lit; });
+      return TypedLeaf(data, [lit](double v) { return v <= lit; });
     case CompareOp::kGt:
-      return FilterTyped(table, candidates, data, out,
-                         [lit](double v) { return v > lit; });
+      return TypedLeaf(data, [lit](double v) { return v > lit; });
     case CompareOp::kGe:
-      return FilterTyped(table, candidates, data, out,
-                         [lit](double v) { return v >= lit; });
+      return TypedLeaf(data, [lit](double v) { return v >= lit; });
   }
+  return nullptr;
 }
 
-/// Filters the candidates of categorical \p cat on a per-code verdict
-/// (null codes never match).
-void FilterCodes(const Table& table, const SelectionVector* candidates,
-                 const CategoricalColumn& cat,
-                 const std::vector<uint8_t>& verdict, SelectionVector* out) {
-  const int32_t* codes = cat.codes().data();
-  const uint8_t* match = verdict.data();
-  FilterCandidates(table, candidates, out, [codes, match](uint32_t r) {
-    const int32_t c = codes[r];
-    return c != CategoricalColumn::kNullCode && match[c] != 0;
-  });
-}
+/// A categorical leaf on a per-code verdict (null codes never match).
+class CodeLeaf final : public BoundPredicate {
+ public:
+  CodeLeaf(const CategoricalColumn& cat, std::vector<uint8_t> verdict)
+      : codes_(cat.codes().data()), verdict_(std::move(verdict)) {}
+
+  size_t Select(const RowDomain& domain, uint32_t* out,
+                SelectScratch*) const override {
+    const int32_t* codes = codes_;
+    const uint8_t* match = verdict_.data();
+    return FilterRows(domain, out, [codes, match](uint32_t r) {
+      const int32_t c = codes[r];
+      return c != CategoricalColumn::kNullCode && match[c] != 0;
+    });
+  }
+
+ private:
+  const int32_t* codes_;
+  std::vector<uint8_t> verdict_;
+};
 
 class ComparePredicate final : public Predicate {
  public:
   ComparePredicate(std::string column, CompareOp op, Value literal)
       : column_(std::move(column)), op_(op), literal_(std::move(literal)) {}
 
-  vs::Status Select(const Table& table, const SelectionVector* candidates,
-                    SelectionVector* out) const override {
-    out->clear();
+  vs::Result<BoundPtr> Bind(const Table& table) const override {
     VS_ASSIGN_OR_RETURN(ColumnPtr col, table.ColumnByName(column_));
     if (literal_.is_null()) {
       return vs::Status::InvalidArgument(
@@ -183,8 +247,7 @@ class ComparePredicate final : public Predicate {
         cmp = cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
         verdict[c] = ApplyOp(op_, cmp);
       }
-      FilterCodes(table, candidates, *cat, verdict, out);
-      return vs::Status::OK();
+      return BoundPtr(std::make_unique<CodeLeaf>(*cat, std::move(verdict)));
     }
 
     double lit = 0.0;
@@ -194,19 +257,19 @@ class ComparePredicate final : public Predicate {
     }
     VS_ASSIGN_OR_RETURN(NumericColumnView view,
                         NumericColumnView::Wrap(col.get()));
-    if (WithNullFreeNumeric(col.get(), [&](const auto* data) {
-          FilterCompare(table, candidates, data, op_, lit, out);
-        })) {
-      return vs::Status::OK();
-    }
     const CompareOp op = op_;
-    FilterCandidates(table, candidates, out, [&view, op, lit](uint32_t r) {
+    if (BoundPtr typed = WithNullFreeNumeric(col.get(), [op, lit](
+                             const auto* data) {
+          return CompareLeaf(data, op, lit);
+        })) {
+      return typed;
+    }
+    return Leaf([view, op, lit](uint32_t r) {
       if (view.IsNull(r)) return false;
       const double v = view.at(r);
       if (std::isnan(v)) return false;  // NaN matches no comparison
       return ApplyOp(op, v < lit ? -1 : (v > lit ? 1 : 0));
     });
-    return vs::Status::OK();
   }
 
   std::string ToString() const override {
@@ -224,9 +287,7 @@ class InSetPredicate final : public Predicate {
   InSetPredicate(std::string column, std::vector<Value> values)
       : column_(std::move(column)), values_(std::move(values)) {}
 
-  vs::Status Select(const Table& table, const SelectionVector* candidates,
-                    SelectionVector* out) const override {
-    out->clear();
+  vs::Result<BoundPtr> Bind(const Table& table) const override {
     VS_ASSIGN_OR_RETURN(ColumnPtr col, table.ColumnByName(column_));
 
     if (const auto* cat = dynamic_cast<const CategoricalColumn*>(col.get())) {
@@ -240,8 +301,7 @@ class InSetPredicate final : public Predicate {
         auto code = cat->CodeFor(v.str());
         if (code.ok()) verdict[*code] = 1;
       }
-      FilterCodes(table, candidates, *cat, verdict, out);
-      return vs::Status::OK();
+      return BoundPtr(std::make_unique<CodeLeaf>(*cat, std::move(verdict)));
     }
 
     std::vector<double> numeric;
@@ -257,7 +317,7 @@ class InSetPredicate final : public Predicate {
     }
     VS_ASSIGN_OR_RETURN(NumericColumnView view,
                         NumericColumnView::Wrap(col.get()));
-    FilterCandidates(table, candidates, out, [&view, &numeric](uint32_t r) {
+    return Leaf([view, numeric = std::move(numeric)](uint32_t r) {
       if (view.IsNull(r)) return false;
       const double v = view.at(r);
       for (double d : numeric) {
@@ -265,7 +325,6 @@ class InSetPredicate final : public Predicate {
       }
       return false;
     });
-    return vs::Status::OK();
   }
 
   std::string ToString() const override {
@@ -285,26 +344,25 @@ class BetweenPredicate final : public Predicate {
   BetweenPredicate(std::string column, double lo, double hi)
       : column_(std::move(column)), lo_(lo), hi_(hi) {}
 
-  vs::Status Select(const Table& table, const SelectionVector* candidates,
-                    SelectionVector* out) const override {
-    out->clear();
+  vs::Result<BoundPtr> Bind(const Table& table) const override {
     VS_ASSIGN_OR_RETURN(ColumnPtr col, table.ColumnByName(column_));
     VS_ASSIGN_OR_RETURN(NumericColumnView view,
                         NumericColumnView::Wrap(col.get()));
     const double lo = lo_;
     const double hi = hi_;
-    if (WithNullFreeNumeric(col.get(), [&](const auto* data) {
-          FilterTyped(table, candidates, data, out,
-                      [lo, hi](double v) { return (v >= lo) & (v < hi); });
-        })) {
-      return vs::Status::OK();
+    if (BoundPtr typed =
+            WithNullFreeNumeric(col.get(), [lo, hi](const auto* data) {
+              return TypedLeaf(data, [lo, hi](double v) {
+                return (v >= lo) & (v < hi);
+              });
+            })) {
+      return typed;
     }
-    FilterCandidates(table, candidates, out, [&view, lo, hi](uint32_t r) {
+    return Leaf([view, lo, hi](uint32_t r) {
       if (view.IsNull(r)) return false;
       const double v = view.at(r);
       return v >= lo && v < hi;
     });
-    return vs::Status::OK();
   }
 
   std::string ToString() const override {
@@ -317,26 +375,95 @@ class BetweenPredicate final : public Predicate {
   double hi_;
 };
 
+/// Binds \p children in order; the first failure is the status.
+vs::Result<std::vector<BoundPtr>> BindAll(
+    const std::vector<PredicatePtr>& children, const Table& table) {
+  std::vector<BoundPtr> bound;
+  bound.reserve(children.size());
+  for (const PredicatePtr& child : children) {
+    VS_ASSIGN_OR_RETURN(BoundPtr b, child->Bind(table));
+    bound.push_back(std::move(b));
+  }
+  return bound;
+}
+
+class BoundAnd final : public BoundPredicate {
+ public:
+  explicit BoundAnd(std::vector<BoundPtr> children)
+      : children_(std::move(children)) {}
+
+  size_t Select(const RowDomain& domain, uint32_t* out,
+                SelectScratch* scratch) const override {
+    if (children_.empty()) {
+      return FilterRows(domain, out, [](uint32_t) { return true; });
+    }
+    // The first child narrows the domain into out; each later child tests
+    // only the rows that survived the ones before it, in place.
+    size_t count = children_[0]->Select(domain, out, scratch);
+    for (size_t c = 1; c < children_.size(); ++c) {
+      count = children_[c]->Select(RowDomain{out, count, 0}, out, scratch);
+    }
+    return count;
+  }
+
+ private:
+  std::vector<BoundPtr> children_;
+};
+
+class BoundOr final : public BoundPredicate {
+ public:
+  explicit BoundOr(std::vector<BoundPtr> children)
+      : children_(std::move(children)) {}
+
+  size_t Select(const RowDomain& domain, uint32_t* out,
+                SelectScratch* scratch) const override {
+    if (children_.empty()) return 0;
+    // `rest` holds the rows no child has matched yet, so each later child
+    // tests only those; the result is the domain minus what is left.
+    uint32_t* rest = scratch->Take();
+    uint32_t* matched = scratch->Take();
+    size_t m = children_[0]->Select(domain, matched, scratch);
+    size_t left = Subtract(domain, matched, m, rest);
+    for (size_t c = 1; c < children_.size(); ++c) {
+      const RowDomain unmatched{rest, left, 0};
+      m = children_[c]->Select(unmatched, matched, scratch);
+      left = Subtract(unmatched, matched, m, rest);
+    }
+    const size_t count = Subtract(domain, rest, left, out);
+    scratch->GiveBack(2);
+    return count;
+  }
+
+ private:
+  std::vector<BoundPtr> children_;
+};
+
+class BoundNot final : public BoundPredicate {
+ public:
+  explicit BoundNot(BoundPtr child) : child_(std::move(child)) {}
+
+  size_t Select(const RowDomain& domain, uint32_t* out,
+                SelectScratch* scratch) const override {
+    uint32_t* matched = scratch->Take();
+    const size_t m = child_->Select(domain, matched, scratch);
+    const size_t count = Subtract(domain, matched, m, out);
+    scratch->GiveBack(1);
+    return count;
+  }
+
+ private:
+  BoundPtr child_;
+};
+
 class AndPredicate final : public Predicate {
  public:
   explicit AndPredicate(std::vector<PredicatePtr> children)
       : children_(std::move(children)) {}
 
-  vs::Status Select(const Table& table, const SelectionVector* candidates,
-                    SelectionVector* out) const override {
-    if (children_.empty()) {
-      *out = candidates != nullptr ? *candidates : table.AllRows();
-      return vs::Status::OK();
-    }
-    // The first child narrows the candidates; each later child tests only
-    // the rows that survived the ones before it.
-    VS_RETURN_IF_ERROR(children_[0]->Select(table, candidates, out));
-    SelectionVector narrowed;
-    for (size_t c = 1; c < children_.size(); ++c) {
-      VS_RETURN_IF_ERROR(children_[c]->Select(table, out, &narrowed));
-      out->swap(narrowed);
-    }
-    return vs::Status::OK();
+  vs::Result<BoundPtr> Bind(const Table& table) const override {
+    VS_ASSIGN_OR_RETURN(std::vector<BoundPtr> bound,
+                        BindAll(children_, table));
+    return BoundPtr(std::make_unique<BoundAnd>(std::move(bound)));
   }
 
   std::string ToString() const override {
@@ -356,19 +483,10 @@ class OrPredicate final : public Predicate {
   explicit OrPredicate(std::vector<PredicatePtr> children)
       : children_(std::move(children)) {}
 
-  vs::Status Select(const Table& table, const SelectionVector* candidates,
-                    SelectionVector* out) const override {
-    out->clear();
-    SelectionVector matched;
-    SelectionVector merged;
-    for (const PredicatePtr& child : children_) {
-      VS_RETURN_IF_ERROR(child->Select(table, candidates, &matched));
-      merged.clear();
-      std::set_union(out->begin(), out->end(), matched.begin(), matched.end(),
-                     std::back_inserter(merged));
-      out->swap(merged);
-    }
-    return vs::Status::OK();
+  vs::Result<BoundPtr> Bind(const Table& table) const override {
+    VS_ASSIGN_OR_RETURN(std::vector<BoundPtr> bound,
+                        BindAll(children_, table));
+    return BoundPtr(std::make_unique<BoundOr>(std::move(bound)));
   }
 
   std::string ToString() const override {
@@ -387,19 +505,9 @@ class NotPredicate final : public Predicate {
  public:
   explicit NotPredicate(PredicatePtr child) : child_(std::move(child)) {}
 
-  vs::Status Select(const Table& table, const SelectionVector* candidates,
-                    SelectionVector* out) const override {
-    SelectionVector matched;
-    VS_RETURN_IF_ERROR(child_->Select(table, candidates, &matched));
-    // The child's matches are a subsequence of the candidates, so one
-    // cursor walks them in step.
-    size_t next = 0;
-    FilterCandidates(table, candidates, out, [&matched, &next](uint32_t r) {
-      const bool hit = next < matched.size() && matched[next] == r;
-      next += hit ? 1 : 0;
-      return !hit;
-    });
-    return vs::Status::OK();
+  vs::Result<BoundPtr> Bind(const Table& table) const override {
+    VS_ASSIGN_OR_RETURN(BoundPtr bound, child_->Bind(table));
+    return BoundPtr(std::make_unique<BoundNot>(std::move(bound)));
   }
 
   std::string ToString() const override {
@@ -441,10 +549,43 @@ PredicatePtr Not(PredicatePtr child) {
 PredicatePtr True() { return And({}); }
 
 vs::Result<SelectionVector> SelectRows(const Table& table,
-                                       const Predicate* predicate) {
+                                       const Predicate* predicate,
+                                       ThreadPool* pool) {
   if (predicate == nullptr) return table.AllRows();
+  VS_ASSIGN_OR_RETURN(BoundPtr bound, predicate->Bind(table));
+  const size_t rows = table.num_rows();
+  const size_t blocks = (rows + kSelectBlockRows - 1) / kSelectBlockRows;
+  // Each block writes its matches at its own offset of one buffer and
+  // records their count; the result is then copied out in block order.
+  std::unique_ptr<uint32_t[]> matches(new uint32_t[rows]);
+  std::vector<size_t> counts(blocks);
+  // Each participant claims blocks from one counter until none is left,
+  // reusing one scratch for all of them.
+  std::atomic<size_t> next_block{0};
+  auto claim_blocks = [&](size_t) {
+    SelectScratch scratch;
+    for (size_t b = next_block++; b < blocks; b = next_block++) {
+      const size_t first = b * kSelectBlockRows;
+      const RowDomain block{nullptr, std::min(kSelectBlockRows, rows - first),
+                            static_cast<uint32_t>(first)};
+      counts[b] = bound->Select(block, matches.get() + first, &scratch);
+    }
+  };
+  const size_t participants =
+      pool == nullptr ? 1 : std::min(blocks, pool->num_threads() + 1);
+  if (participants > 1) {
+    pool->ParallelFor(0, participants, claim_blocks);
+  } else {
+    claim_blocks(0);
+  }
+  size_t total = 0;
+  for (size_t count : counts) total += count;
   SelectionVector sel;
-  VS_RETURN_IF_ERROR(predicate->Select(table, nullptr, &sel));
+  sel.reserve(total);
+  for (size_t b = 0; b < blocks; ++b) {
+    const uint32_t* begin = matches.get() + b * kSelectBlockRows;
+    sel.insert(sel.end(), begin, begin + counts[b]);
+  }
   return sel;
 }
 

@@ -247,8 +247,9 @@ SessionManager::BuildSession(const std::string& table_path,
   } else {
     VS_ASSIGN_OR_RETURN(data::PredicatePtr predicate,
                         data::ParseFilter(filter));
-    VS_ASSIGN_OR_RETURN(selection,
-                        data::SelectRows(loaded->table, predicate.get()));
+    VS_ASSIGN_OR_RETURN(
+        selection,
+        data::SelectRows(loaded->table, predicate.get(), &build_pool_));
   }
 
   core::FeatureMatrixOptions build_options;

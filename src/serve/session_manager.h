@@ -61,11 +61,12 @@ struct SessionManagerOptions {
   /// durability directory, or dropped for good when there is none.
   double session_ttl_seconds = 300.0;
   /// Workers of the manager's one build pool, shared by every create's
-  /// FeatureMatrix::Build (0 = inline).  The creating thread runs build
-  /// tasks too, so the default, cores - 1, keeps every core busy.  On a
-  /// 4-vCPU Xeon VM (RelWithDebInfo, 3 workers) it cut the median cold
-  /// create of a 2M-row table from 55.4 to 26.1 ms against inline builds,
-  /// for ~13% more peak RSS (the workers' malloc arenas).
+  /// filter (data::SelectRows) and FeatureMatrix::Build (0 = inline).
+  /// The creating thread runs tasks too, so the default, cores - 1, keeps
+  /// every core busy.  On a 4-vCPU Xeon VM (RelWithDebInfo, 3 workers) it
+  /// cut the median cold create of a 2M-row table from 55.4 to 26.1 ms
+  /// against inline builds, for ~13% more peak RSS (the workers' malloc
+  /// arenas).
   size_t feature_threads = ThreadPool::DefaultThreads();
   /// Default ViewSeeker option bounds.
   int max_k = 100;
@@ -294,7 +295,8 @@ class SessionManager {
   const std::string default_table_path_;
   core::UtilityFeatureRegistry registry_;
   const Clock* const clock_;  ///< source of last_used_us timestamps
-  /// feature_threads workers, borrowed by every matrix build.
+  /// feature_threads workers, borrowed by every create's filter and matrix
+  /// build.
   ThreadPool build_pool_;
   /// Cross-session cache of built matrices.  Its entries borrow tables out
   /// of tables_ below, which only grows — a cached matrix's table is never

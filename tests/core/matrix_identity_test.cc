@@ -1,5 +1,8 @@
 #include "core/matrix_identity.h"
 
+#include <set>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "common/threadpool.h"
@@ -90,6 +93,51 @@ TEST(MatrixIdentityTest, KeySensitivity) {
   per_view.shared_scan = false;
   EXPECT_NE(base, FeatureMatrixCacheKey("t", world.query, world.views,
                                         *world.registry, per_view));
+}
+
+/// Row ids 7, 10, 13, ...: \p n distinct, sorted, none a small integer
+/// that a zero-filled word would also produce.
+data::SelectionVector Stride(size_t n) {
+  data::SelectionVector rows(n);
+  for (size_t i = 0; i < n; ++i) rows[i] = static_cast<uint32_t>(7 + 3 * i);
+  return rows;
+}
+
+TEST(MatrixIdentityTest, HashSelectionKnownValues) {
+  // Keys live only in process, but a pinned value catches an accidental
+  // change of the word order, the lane rounds or the fold.
+  EXPECT_EQ(HashSelection({}), 0x26a872ebbd56c621ULL);
+  // Four full stripes of 8 rows, then a tail of 5.
+  EXPECT_EQ(HashSelection(Stride(37)), 0x8ea42e599c885feeULL);
+}
+
+TEST(MatrixIdentityTest, HashSelectionLengthsAreDistinct) {
+  // Lengths 0-17 cover an empty selection, a tail alone, one stripe, one
+  // stripe plus every tail length and two stripes plus a tail.
+  std::set<uint64_t> keys;
+  for (size_t n = 0; n <= 17; ++n) keys.insert(HashSelection(Stride(n)));
+  EXPECT_EQ(keys.size(), 18u);
+}
+
+TEST(MatrixIdentityTest, HashSelectionSeesEveryRowAndItsPosition) {
+  const data::SelectionVector base = Stride(18);
+  const uint64_t key = HashSelection(base);
+  for (size_t i = 0; i < base.size(); ++i) {
+    SCOPED_TRACE(i);
+    // Each position lies in some lane's word or in the tail.
+    for (uint32_t delta : {1u, 2u, 1u << 16, 1u << 31}) {
+      data::SelectionVector changed = base;
+      changed[i] ^= delta;
+      EXPECT_NE(HashSelection(changed), key) << "delta " << delta;
+    }
+    // Swapping two adjacent rows: inside one word, across two lanes,
+    // across stripes, and between the last word and the tail.
+    if (i + 1 < base.size()) {
+      data::SelectionVector swapped = base;
+      std::swap(swapped[i], swapped[i + 1]);
+      EXPECT_NE(HashSelection(swapped), key);
+    }
+  }
 }
 
 TEST(MatrixIdentityTest, BuildPoolDoesNotAffectKey) {

@@ -6,16 +6,23 @@
 /// lists (an And's later children test only the surviving rows), so the
 /// trees also pin that narrowing never changes which rows match, and that
 /// a child handed an empty candidate list still reports its errors.
+/// SelectRows runs in blocks of kSelectBlockRows rows, inline or on a
+/// pool; the pooled cases check that the selection and every error status
+/// are the same with no pool and with pools of 0, 1, 3 and 8 workers, at
+/// row counts on and around the block boundaries, and when several
+/// threads share one pool.
 
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/threadpool.h"
 #include "data/predicate.h"
 
 namespace vs::data {
@@ -221,6 +228,21 @@ Node RandomTree(Rng& rng, int depth) {
   return node;
 }
 
+/// Leaves that fail to bind: an unknown column, a type mismatch either
+/// way, a null literal.
+std::vector<PredicatePtr> BadLeaves() {
+  return {
+      Compare("bogus", CompareOp::kEq, Value(1.0)),
+      Compare("c", CompareOp::kEq, Value(1.0)),
+      Compare("i", CompareOp::kLt, Value("x")),
+      Compare("d", CompareOp::kEq, Value()),
+      InSet("c", {Value("a"), Value(2.0)}),
+      InSet("i0", {Value("a")}),
+      Between("c", 0.0, 1.0),
+      Between("bogus", 0.0, 1.0),
+  };
+}
+
 class PredicateDifferential : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PredicateDifferential, RandomTreesMatchRowAtATime) {
@@ -310,16 +332,7 @@ TEST(PredicateDifferentialTest, ChildErrorsSurviveEmptyCandidates) {
   // candidate list and must still validate its column and literal.
   const PredicatePtr none = Between("d0", 100.0, 200.0);
   ASSERT_TRUE(SelectRows(t, none)->empty());
-  const PredicatePtr bad_leaves[] = {
-      Compare("bogus", CompareOp::kEq, Value(1.0)),
-      Compare("c", CompareOp::kEq, Value(1.0)),
-      Compare("i", CompareOp::kLt, Value("x")),
-      Compare("d", CompareOp::kEq, Value()),
-      InSet("c", {Value("a"), Value(2.0)}),
-      InSet("i0", {Value("a")}),
-      Between("c", 0.0, 1.0),
-      Between("bogus", 0.0, 1.0),
-  };
+  const std::vector<PredicatePtr> bad_leaves = BadLeaves();
   for (const PredicatePtr& bad : bad_leaves) {
     SCOPED_TRACE(bad->ToString());
     const auto direct = SelectRows(t, bad);
@@ -345,6 +358,100 @@ TEST(PredicateDifferentialTest, ChildErrorsSurviveEmptyCandidates) {
   EXPECT_TRUE(SelectRows(empty, And({}))->empty());
   EXPECT_FALSE(SelectRows(empty, And({none, bad_leaves[0]})).ok());
   EXPECT_FALSE(SelectRows(empty, bad_leaves[1]).ok());
+}
+
+/// SelectRows with no pool, then on pools of 0, 1, 3 and 8 workers.
+class SelectPools {
+ public:
+  std::vector<ThreadPool*> all() {
+    return {nullptr, &inline_, &one_, &three_, &eight_};
+  }
+
+ private:
+  ThreadPool inline_{0};
+  ThreadPool one_{1};
+  ThreadPool three_{3};
+  ThreadPool eight_{8};
+};
+
+class PooledSelectRows : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(PooledSelectRows, EveryPoolMatchesRowAtATime) {
+  const size_t rows = GetParam();
+  const Table t = RandomTable(rows + 21, rows);
+  SelectPools pools;
+  Rng rng(rows * 7919 + 5);
+  for (int trial = 0; trial < 12; ++trial) {
+    const Node tree = RandomTree(rng, 3);
+    const PredicatePtr predicate = tree.ToPredicate();
+    SCOPED_TRACE(predicate->ToString());
+    const SelectionVector want = Reference(tree, t);
+    for (ThreadPool* pool : pools.all()) {
+      SCOPED_TRACE(pool == nullptr ? "no pool"
+                                   : std::to_string(pool->num_threads()));
+      auto got = SelectRows(t, predicate, pool);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, want);
+    }
+  }
+  for (ThreadPool* pool : pools.all()) {
+    EXPECT_EQ(*SelectRows(t, True(), pool), t.AllRows());
+    EXPECT_TRUE(SelectRows(t, Or({}), pool)->empty());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RowCounts, PooledSelectRows,
+    ::testing::Values(size_t{0}, size_t{1}, kSelectBlockRows - 1,
+                      kSelectBlockRows, kSelectBlockRows + 1,
+                      3 * kSelectBlockRows + 5, size_t{200000}));
+
+TEST(PooledSelectRowsTest, ErrorStatusesMatchForEveryPool) {
+  const Table t = RandomTable(31, 3 * kSelectBlockRows + 5);
+  SelectPools pools;
+  const PredicatePtr some = Between("d0", -2.0, 0.25);
+  for (const PredicatePtr& bad : BadLeaves()) {
+    for (const PredicatePtr& p :
+         {bad, And({some, bad}), Or({some, Not(bad)}), Not(And({bad}))}) {
+      SCOPED_TRACE(p->ToString());
+      const auto direct = SelectRows(t, p);
+      ASSERT_FALSE(direct.ok());
+      for (ThreadPool* pool : pools.all()) {
+        const auto got = SelectRows(t, p, pool);
+        ASSERT_FALSE(got.ok());
+        EXPECT_EQ(got.status().code(), direct.status().code());
+        EXPECT_EQ(got.status().message(), direct.status().message());
+      }
+    }
+  }
+}
+
+TEST(PooledSelectRowsTest, ConcurrentCallsShareOnePool) {
+  const Table t = RandomTable(32, 3 * kSelectBlockRows + 5);
+  ThreadPool pool(3);
+  constexpr int kThreads = 4;
+  std::vector<PredicatePtr> predicates;
+  std::vector<SelectionVector> want;
+  Rng rng(99);
+  for (int i = 0; i < kThreads; ++i) {
+    const Node tree = RandomTree(rng, 3);
+    predicates.push_back(tree.ToPredicate());
+    want.push_back(Reference(tree, t));
+  }
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(kThreads, 0);
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      for (int round = 0; round < 3; ++round) {
+        auto got = SelectRows(t, predicates[i], &pool);
+        if (!got.ok() || *got != want[i]) ++mismatches[i];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(mismatches[i], 0) << predicates[i]->ToString();
+  }
 }
 
 }  // namespace

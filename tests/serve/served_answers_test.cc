@@ -5,7 +5,11 @@
 /// scores, as a core::ViewSeeker built in-process over the same table,
 /// filter, seed and labels.  Every response stays protocol-valid and
 /// carries no quality marker: no `x-quality` header, no `quality` field.
+/// On a table of several SelectRows blocks, a create's filter runs on the
+/// manager's build pool; the served matrix and its cache key must equal
+/// the ones an inline filter and build give, with or without workers.
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +19,7 @@
 #include "common/string_util.h"
 #include "core/feature_matrix.h"
 #include "core/ideal_utility.h"
+#include "core/matrix_identity.h"
 #include "core/seeker.h"
 #include "core/simulated_user.h"
 #include "core/utility_features.h"
@@ -231,6 +236,71 @@ TEST(ServedAnswersTest, SaturatedAdmissionAnswersEqualInProcess) {
     EXPECT_DOUBLE_EQ(row.limit, 1.0);
     EXPECT_EQ(row.shed, 0u);
     EXPECT_GT(row.admitted, 0u);
+  }
+}
+
+const std::string& MultiBlockTablePath() {
+  static const std::string path = [] {
+    data::DiabetesOptions options;
+    options.num_rows = 2 * data::kSelectBlockRows + 123;
+    options.seed = 29;
+    data::Table table = *data::GenerateDiabetes(options);
+    std::string file = ::testing::TempDir() + "serve_multi_block_test.vst";
+    EXPECT_TRUE(data::WriteTableFile(table, file).ok());
+    return file;
+  }();
+  return path;
+}
+
+TEST(ServedAnswersTest, MultiBlockFilterMatchesInlineBuildOnEveryPool) {
+  constexpr char kRange[] = "time_in_hospital BETWEEN 3 AND 7";
+  const std::string& path = MultiBlockTablePath();
+  const data::Table table = *data::ReadTableFile(path);
+  ASSERT_GT(table.num_rows(), data::kSelectBlockRows);
+  const std::vector<core::ViewSpec> views =
+      *core::EnumerateViews(table, core::ViewEnumerationOptions{});
+  const core::UtilityFeatureRegistry registry =
+      core::UtilityFeatureRegistry::Default();
+  const data::SelectionVector selection =
+      *data::SelectRows(table, *data::ParseFilter(kRange));
+  ASSERT_GT(selection.size(), 0u);
+  ASSERT_LT(selection.size(), table.num_rows());
+  const core::FeatureMatrix want = *core::FeatureMatrix::Build(
+      &table, views, selection, &registry, core::FeatureMatrixOptions{});
+  // The manager keys its table by path and row count.
+  const std::string key = core::FeatureMatrixCacheKey(
+      path + "#" + std::to_string(table.num_rows()), selection, views,
+      registry, core::FeatureMatrixOptions{});
+
+  for (const size_t threads : {size_t{0}, ThreadPool::DefaultThreads()}) {
+    SCOPED_TRACE("feature_threads " + std::to_string(threads));
+    SessionManagerOptions options = ManagerOptions();
+    options.feature_threads = threads;
+    SessionManager manager(options, path);
+    CreateSpec spec;
+    spec.filter = kRange;
+    spec.options.k = kK;
+    auto created = manager.Create(spec);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    // A hit on the inline key is the served matrix; a miss would run this
+    // builder and fail.
+    auto served = manager.matrix_cache().GetOrBuild(
+        key, []() -> Result<core::FeatureMatrix> {
+          return Status::FailedPrecondition("served key differs");
+        });
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_EQ((*served)->query_selection(), selection);
+    const ml::Matrix& got = (*served)->raw();
+    ASSERT_EQ(got.rows(), want.raw().rows());
+    ASSERT_EQ(got.cols(), want.raw().cols());
+    for (size_t i = 0; i < got.rows(); ++i) {
+      for (size_t j = 0; j < got.cols(); ++j) {
+        const double x = want.raw()(i, j);
+        const double y = got(i, j);
+        EXPECT_EQ(std::memcmp(&x, &y, sizeof(double)), 0)
+            << "view " << i << " feature " << j;
+      }
+    }
   }
 }
 
