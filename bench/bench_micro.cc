@@ -19,7 +19,9 @@
 ///       (feature_build_selective, ungated) against that oracle, and the
 ///       box's filter alone (select_box, ungated: SelectRows inline against
 ///       a pool of ThreadPool::DefaultThreads() workers, with the build
-///       type named beside it).
+///       type named beside it), and a 20,000-level dimension's gathered
+///       target pass over 4 measures (groupby_wide_target, ungated: one
+///       task against one task per measure on such a pool).
 ///       Writes a JSON report and exits nonzero when the gated build
 ///       speedup falls below --min-speedup — CI runs this with
 ///       --min-speedup=4 as a smoke gate, and the committed BENCH_PR9.json
@@ -618,6 +620,69 @@ int RunKernelGate(int argc, char** argv) {
   const double selective_filled_memo_seconds = BestOf(
       config.repeats, [&] { box_build(table, /*use_kernels=*/true); });
 
+  // The wide target pass (ungated): a 20,000-level dimension's gathered
+  // target pass over the same box, its 4 measures' views folded as one
+  // task against one task per measure on a default-sized pool — the
+  // split a cold build's group phase makes.  The gather and staging run
+  // once, before the clock.
+  vs::data::LargeScaleOptions wide_options;
+  wide_options.num_rows = config.rows;
+  wide_options.cardinalities = {20'000};
+  auto wide_or = vs::data::GenerateLargeScale(wide_options);
+  if (!wide_or.ok()) {
+    std::fprintf(stderr, "generate: %s\n",
+                 wide_or.status().ToString().c_str());
+    return 1;
+  }
+  const vs::data::Table& wide = *wide_or;
+  auto wide_box_or = vs::data::SelectRows(wide, box_filter);
+  if (!wide_box_or.ok()) {
+    std::fprintf(stderr, "select: %s\n",
+                 wide_box_or.status().ToString().c_str());
+    return 1;
+  }
+  const vs::data::SelectionVector& wide_box = *wide_box_or;
+  const std::vector<std::string> wide_measures = {"m0", "m1", "m2", "m3"};
+  std::vector<std::vector<vs::data::GroupBySpec>> wide_specs;
+  std::vector<vs::data::GroupBySpec> wide_all;
+  using vs::data::AggregateFunction;
+  for (const std::string& measure : wide_measures) {
+    wide_specs.emplace_back();
+    for (AggregateFunction func :
+         {AggregateFunction::kCount, AggregateFunction::kSum,
+          AggregateFunction::kAvg, AggregateFunction::kMin,
+          AggregateFunction::kMax}) {
+      wide_specs.back().push_back({"g0", measure, func, 0});
+      wide_all.push_back(wide_specs.back().back());
+    }
+  }
+  const vs::data::GroupByExecutor wide_executor(&wide);
+  auto wide_gathered_or =
+      wide_executor.GatherMeasures(wide_measures, {{"g0", 0}}, wide_box);
+  if (!wide_gathered_or.ok()) {
+    std::fprintf(stderr, "gather: %s\n",
+                 wide_gathered_or.status().ToString().c_str());
+    return 1;
+  }
+  const vs::data::GatheredMeasures& wide_gathered = *wide_gathered_or;
+  auto run_wide = [&](const std::vector<vs::data::GroupBySpec>& specs) {
+    auto r = wide_executor.ExecuteBatch(specs, wide_gathered);
+    if (!r.ok()) std::fprintf(stderr, "%s\n", r.status().ToString().c_str());
+    benchmark::DoNotOptimize(r);
+  };
+  Comparison wide_target;
+  wide_target.name = "groupby_wide_target";
+  wide_target.units = static_cast<double>(wide_box.size());
+  {
+    vs::ThreadPool wide_pool(select_workers);
+    wide_target.scalar_seconds =
+        BestOf(config.repeats, [&] { run_wide(wide_all); });
+    wide_target.kernel_seconds = BestOf(config.repeats, [&] {
+      wide_pool.ParallelFor(0, wide_specs.size(),
+                            [&](size_t m) { run_wide(wide_specs[m]); });
+    });
+  }
+
   // --- Report --------------------------------------------------------------
   const std::string build_type = vs::GetBuildInfo().build_type.empty()
                                      ? "unknown build type"
@@ -638,6 +703,12 @@ int RunKernelGate(int argc, char** argv) {
       select_box.name.c_str(), select_box.scalar_seconds * 1e3,
       select_box.kernel_seconds * 1e3, select_workers, select_box.speedup(),
       box.size(), build_type.c_str());
+  std::printf(
+      "%-24s %9.3f ms one task %9.3f ms per measure on %zu workers + caller "
+      "%8.2fx  (%zu rows, %s, ungated)\n",
+      wide_target.name.c_str(), wide_target.scalar_seconds * 1e3,
+      wide_target.kernel_seconds * 1e3, select_workers, wide_target.speedup(),
+      wide_box.size(), build_type.c_str());
   std::printf(
       "%-24s %14s %14.3e %8.2fx  (filled memo vs empty memo, ungated)\n",
       "feature_matrix_build_memo", "",
@@ -683,9 +754,16 @@ int RunKernelGate(int argc, char** argv) {
   json += vs::StrFormat(
       "  \"select_box\": {\"selected_rows\": %zu, \"inline_ms\": %.3f, "
       "\"pool_ms\": %.3f, \"pool_workers\": %zu, \"speedup\": %.3f, "
-      "\"build_type\": \"%s\"}\n",
+      "\"build_type\": \"%s\"},\n",
       box.size(), select_box.scalar_seconds * 1e3,
       select_box.kernel_seconds * 1e3, select_workers, select_box.speedup(),
+      build_type.c_str());
+  json += vs::StrFormat(
+      "  \"groupby_wide_target\": {\"selected_rows\": %zu, \"levels\": 20000, "
+      "\"measures\": %zu, \"one_task_ms\": %.3f, \"per_measure_ms\": %.3f, "
+      "\"pool_workers\": %zu, \"speedup\": %.3f, \"build_type\": \"%s\"}\n",
+      wide_box.size(), wide_measures.size(), wide_target.scalar_seconds * 1e3,
+      wide_target.kernel_seconds * 1e3, select_workers, wide_target.speedup(),
       build_type.c_str());
   json += "}\n";
 

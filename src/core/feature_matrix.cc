@@ -1,27 +1,33 @@
 /// \file feature_matrix.cc
 /// \brief Feature-matrix builds and refinement over shared group scans.
 ///
-/// Build and RefineRows materialize views through one helper,
-/// MaterializeGroups, over (dimension, bin count) groups: one target batch
-/// and one reference batch per group (data/groupby.h), then the features
-/// of each view.  The batches hand every aggregate view of a measure the
-/// same immutable moment grid, so on the kernel path Usability, Accuracy
-/// and P-value — which read only counts and moments — are computed once
-/// per (target grid, reference grid) pair, i.e. once per (dimension,
-/// measure), together with P-value's normalized reference count
-/// distribution.  The pair is keyed by grid, not by dimension, because a
-/// measure with null cells has its own counts.  KL/EMD/L1/L2/MAX_DIFF and
-/// custom registered features still run per view, and the scalar oracle
-/// path (use_kernels = false) keeps per-view ComputeAll.  Either way the
-/// values are bit-identical.
+/// Build and RefineRows materialize views over (dimension, bin count)
+/// groups in two helpers: RunGroupPasses runs each group's target and
+/// reference batches (data/groupby.h), then ComputeGroupFeatures computes
+/// the features of each view.  The batches hand every aggregate view of a
+/// measure the same immutable moment grid, so on the kernel path
+/// Usability, Accuracy and P-value — which read only counts and moments —
+/// are computed once per (target grid, reference grid) pair, i.e. once per
+/// (dimension, measure), together with P-value's normalized reference
+/// count distribution.  The pair is keyed by grid, not by dimension,
+/// because a measure with null cells has its own counts.
+/// KL/EMD/L1/L2/MAX_DIFF and custom registered features still run per
+/// view, and the scalar oracle path (use_kernels = false) keeps per-view
+/// ComputeAll.  Either way the values are bit-identical.
 ///
 /// Build runs in three phases on the borrowed FeatureMatrixOptions::pool
-/// (inline without one): the target measure gather (one task per
-/// measure), the group passes (one task per group), then the measure
-/// features (one task per grid pair) and the views (one task per view).
+/// (inline without one), each under its own trace span:
+///  0. gather: the target measures are gathered and each group's target
+///     bins staged, one task per measure and one per group;
+///  A. groups: each group's target pass folds one task per measure from
+///     the staged bins, so no task holds a whole wide group, then one task
+///     per group runs its reference pass;
+///  B. features: one task per grid pair for the measure features, then
+///     one task per view.
 /// Every task writes only its own slot, so the matrix is bit-identical
-/// with any pool size.  RefineRows runs the same helper inline, one group
-/// at a time.
+/// with any pool size, and the status is the first failure in task order,
+/// the inline build's.  RefineRows runs the same helpers inline, one group
+/// at a time, in place: one target task per group.
 
 #include "core/feature_matrix.h"
 
@@ -98,11 +104,17 @@ struct BuildMetrics {
 
 /// Where one group's target and reference passes read.
 struct GroupPasses {
-  /// Target measures gathered over the target selection, or null to read
-  /// them in place over \p target.
+  /// Target measures gathered and group bins staged over the target
+  /// selection, or null to read them in place over \p target.
   const data::GatheredMeasures* gathered = nullptr;
   const data::SelectionVector* target = nullptr;
   const data::SelectionVector* reference = nullptr;  ///< nullptr = all rows
+};
+
+/// One group's materialized views, in member order.
+struct GroupResults {
+  std::vector<data::GroupByResult> targets;
+  std::vector<data::GroupByResult> references;
 };
 
 /// Runs fn(i) for i in [0, n) on \p pool (inline, in index order, when
@@ -131,45 +143,86 @@ vs::Status RunTasks(ThreadPool* pool, size_t n,
   return failed < n ? status[failed] : vs::Status::OK();
 }
 
-/// Materializes the views of \p groups (each one dimension and bin count)
-/// and writes each view's features into its row of \p raw, in two phases
-/// on \p pool (inline when null):
-///  A. one task per group runs its target batch and its reference batch;
-///  B. the measure-level features (the kernel path with a registry that
-///     fuses the built-ins, \p share_measure_features) are computed once
-///     per (target grid, reference grid) pair, then one task per view
-///     normalizes, runs ComputeAll, writes the row and frees the view's
-///     materialization.
-/// Returns the first failure in group order (phase A) or view order
-/// (phase B) — the status of a sequential build.  When \p feature_seconds
-/// is set it observes phase B's wall time once.
-vs::Status MaterializeGroups(const data::GroupByExecutor& executor,
-                             const std::vector<ViewSpec>& views,
-                             const std::vector<std::vector<size_t>>& groups,
-                             const GroupPasses& passes,
-                             const UtilityFeatureRegistry& registry,
-                             bool share_measure_features, ThreadPool* pool,
-                             ml::Matrix* raw,
-                             obs::Histogram* feature_seconds) {
-  struct GroupResults {
-    std::vector<data::GroupByResult> targets;
-    std::vector<data::GroupByResult> references;
+/// Phase A: runs the target and reference passes of \p groups (each one
+/// dimension and bin count) on \p pool (inline when null) into
+/// \p results.  The tasks run in group order.  A group's target pass is one
+/// task per distinct measure when the target is gathered and staged, so no
+/// task holds a whole wide group; otherwise it is one task for the group.
+/// Then comes the group's reference pass, one task that stages the
+/// dimension once for all its measures.  Each task finalizes its own specs
+/// into its own slots.  Returns the first failure in task order.
+vs::Status RunGroupPasses(const data::GroupByExecutor& executor,
+                          const std::vector<ViewSpec>& views,
+                          const std::vector<std::vector<size_t>>& groups,
+                          const GroupPasses& passes, ThreadPool* pool,
+                          std::vector<GroupResults>* results) {
+  struct PassTask {
+    size_t group;
+    std::vector<size_t> members;  ///< positions in groups[group]
+    bool reference;
   };
-  std::vector<GroupResults> results(groups.size());
-  VS_RETURN_IF_ERROR(RunTasks(pool, groups.size(), [&](size_t g) {
+  std::vector<PassTask> tasks;
+  results->resize(groups.size());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    std::vector<size_t> all(groups[g].size());
+    for (size_t k = 0; k < all.size(); ++k) all[k] = k;
+    if (passes.gathered != nullptr) {
+      // One target task per distinct measure, in first-seen order.
+      std::vector<std::string> measures;
+      const size_t first = tasks.size();
+      for (size_t k : all) {
+        const std::string& measure = views[groups[g][k]].measure;
+        const auto m = static_cast<size_t>(
+            std::find(measures.begin(), measures.end(), measure) -
+            measures.begin());
+        if (m == measures.size()) {
+          measures.push_back(measure);
+          tasks.push_back({g, {}, false});
+        }
+        tasks[first + m].members.push_back(k);
+      }
+    } else {
+      tasks.push_back({g, all, false});
+    }
+    tasks.push_back({g, std::move(all), true});
+    (*results)[g].targets.resize(groups[g].size());
+    (*results)[g].references.resize(groups[g].size());
+  }
+  return RunTasks(pool, tasks.size(), [&](size_t t) {
+    const PassTask& task = tasks[t];
     std::vector<data::GroupBySpec> specs;
-    specs.reserve(groups[g].size());
-    for (size_t i : groups[g]) specs.push_back(views[i].ToGroupBySpec());
-    VS_ASSIGN_OR_RETURN(results[g].targets,
-                        passes.gathered != nullptr
-                            ? executor.ExecuteBatch(specs, *passes.gathered)
-                            : executor.ExecuteBatch(specs, passes.target));
-    VS_ASSIGN_OR_RETURN(results[g].references,
-                        executor.ExecuteBatch(specs, passes.reference));
+    specs.reserve(task.members.size());
+    for (size_t k : task.members) {
+      specs.push_back(views[groups[task.group][k]].ToGroupBySpec());
+    }
+    VS_ASSIGN_OR_RETURN(
+        std::vector<data::GroupByResult> batch,
+        task.reference ? executor.ExecuteBatch(specs, passes.reference)
+        : passes.gathered != nullptr
+            ? executor.ExecuteBatch(specs, *passes.gathered)
+            : executor.ExecuteBatch(specs, passes.target));
+    GroupResults& group = (*results)[task.group];
+    std::vector<data::GroupByResult>& slots =
+        task.reference ? group.references : group.targets;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      slots[task.members[i]] = std::move(batch[i]);
+    }
     return vs::Status::OK();
-  }));
+  });
+}
 
-  Stopwatch feature_clock;
+/// Phase B: writes each view's features into its row of \p raw from the
+/// passes in \p results, on \p pool (inline when null).  The
+/// measure-level features (the kernel path with a registry that fuses the
+/// built-ins, \p share_measure_features) are computed once per (target
+/// grid, reference grid) pair, then one task per view normalizes, runs
+/// ComputeAll, writes the row and frees the view's materialization.
+/// Returns the first failure in view order.
+vs::Status ComputeGroupFeatures(const std::vector<std::vector<size_t>>& groups,
+                                std::vector<GroupResults>* results,
+                                const UtilityFeatureRegistry& registry,
+                                bool share_measure_features, ThreadPool* pool,
+                                ml::Matrix* raw) {
   // Views in (group, member) order, and with shared measure features the
   // grid pair each one reads.
   struct ViewTask {
@@ -185,8 +238,8 @@ vs::Status MaterializeGroups(const data::GroupByExecutor& executor,
     for (size_t k = 0; k < groups[g].size(); ++k) {
       size_t pair = 0;
       if (share_measure_features) {
-        const GridPair grids(results[g].targets[k].moments.get(),
-                             results[g].references[k].moments.get());
+        const GridPair grids((*results)[g].targets[k].moments.get(),
+                             (*results)[g].references[k].moments.get());
         pair = static_cast<size_t>(
             std::find(pairs.begin(), pairs.end(), grids) - pairs.begin());
         if (pair == pairs.size()) {
@@ -204,8 +257,8 @@ vs::Status MaterializeGroups(const data::GroupByExecutor& executor,
   RunTasks(pool, pairs.size(), [&](size_t p) {
     const ViewTask& first = tasks[pair_first_task[p]];
     vs::Result<MeasureFeatures> measure = ComputeMeasureFeatures(
-        results[first.group].targets[first.member],
-        results[first.group].references[first.member]);
+        (*results)[first.group].targets[first.member],
+        (*results)[first.group].references[first.member]);
     if (measure.ok()) {
       pair_features[p] = *measure;
     } else {
@@ -213,11 +266,11 @@ vs::Status MaterializeGroups(const data::GroupByExecutor& executor,
     }
     return vs::Status::OK();  // reported by the pair's views
   });
-  VS_RETURN_IF_ERROR(RunTasks(pool, tasks.size(), [&](size_t t) {
+  return RunTasks(pool, tasks.size(), [&](size_t t) {
     const ViewTask& task = tasks[t];
     ViewMaterialization mat;
-    mat.target = std::move(results[task.group].targets[task.member]);
-    mat.reference = std::move(results[task.group].references[task.member]);
+    mat.target = std::move((*results)[task.group].targets[task.member]);
+    mat.reference = std::move((*results)[task.group].references[task.member]);
     VS_ASSIGN_OR_RETURN(mat.target_dist, stats::Normalize(mat.target.values));
     VS_ASSIGN_OR_RETURN(mat.reference_dist,
                         stats::Normalize(mat.reference.values));
@@ -232,11 +285,7 @@ vs::Status MaterializeGroups(const data::GroupByExecutor& executor,
     const size_t row = groups[task.group][task.member];
     for (size_t j = 0; j < features.size(); ++j) (*raw)(row, j) = features[j];
     return vs::Status::OK();
-  }));
-  if (feature_seconds != nullptr) {
-    feature_seconds->Observe(feature_clock.ElapsedSeconds());
-  }
-  return vs::Status::OK();
+  });
 }
 
 }  // namespace
@@ -326,14 +375,16 @@ vs::Result<FeatureMatrix> FeatureMatrix::Build(
     for (size_t i = 0; i < imm->views.size(); ++i) groups[i] = {i};
   }
 
-  // Every group's target pass reads the same measures over the same
-  // selection, so the kernel path gathers them once, aligned with the
-  // selection (data/groupby_kernel.h), one pool task per measure.
+  // Phase 0.  Every group's target pass reads the same measures over the
+  // same selection, so the kernel path gathers them once, aligned with
+  // the selection, and stages each group's bins once
+  // (data/groupby_kernel.h), one pool task per measure and per group.
   // Reference passes keep reading in place (memo-served on exact builds).
-  // The copies are shared read-only by the group tasks and freed when
-  // Build returns.
+  // The copies are shared read-only by the pass tasks and freed when Build
+  // returns.
   std::optional<data::GatheredMeasures> target_measures;
   if (options.use_kernels) {
+    obs::ScopedSpan gather_span("FeatureMatrix::Build.gather");
     std::vector<std::string> measures;
     for (const ViewSpec& view : imm->views) {
       if (std::find(measures.begin(), measures.end(), view.measure) ==
@@ -341,9 +392,19 @@ vs::Result<FeatureMatrix> FeatureMatrix::Build(
         measures.push_back(view.measure);
       }
     }
-    VS_ASSIGN_OR_RETURN(
-        target_measures,
-        executor.GatherMeasures(measures, *target_sel, options.pool));
+    std::vector<std::pair<std::string, int32_t>> dimensions;
+    for (const std::vector<size_t>& group : groups) {
+      const ViewSpec& view = imm->views[group[0]];
+      const std::pair<std::string, int32_t> key(view.dimension,
+                                                view.num_bins);
+      if (std::find(dimensions.begin(), dimensions.end(), key) ==
+          dimensions.end()) {
+        dimensions.push_back(key);
+      }
+    }
+    VS_ASSIGN_OR_RETURN(target_measures,
+                        executor.GatherMeasures(measures, dimensions,
+                                                *target_sel, options.pool));
   }
 
   GroupPasses passes;
@@ -354,10 +415,23 @@ vs::Result<FeatureMatrix> FeatureMatrix::Build(
   // executor keeps no state of its own (ranges and full-table grids live
   // in the thread-safe table memo), so one executor serves every task.
   Stopwatch groups_clock;
-  VS_RETURN_IF_ERROR(MaterializeGroups(
-      executor, imm->views, groups, passes, *registry,
-      options.use_kernels && registry->fuses_builtins(), options.pool,
-      &state->raw, observe ? metrics.feature_seconds : nullptr));
+  std::vector<GroupResults> results;
+  {
+    obs::ScopedSpan groups_span("FeatureMatrix::Build.groups");
+    VS_RETURN_IF_ERROR(RunGroupPasses(executor, imm->views, groups, passes,
+                                      options.pool, &results));
+  }
+  {
+    obs::ScopedSpan features_span("FeatureMatrix::Build.features");
+    Stopwatch feature_clock;
+    VS_RETURN_IF_ERROR(ComputeGroupFeatures(
+        groups, &results, *registry,
+        options.use_kernels && registry->fuses_builtins(), options.pool,
+        &state->raw));
+    if (observe) {
+      metrics.feature_seconds->Observe(feature_clock.ElapsedSeconds());
+    }
+  }
   if (observe) {
     // One observation per view keeps the histogram count meaningful as
     // "views built"; each is the view's share of the passes and features.
@@ -455,10 +529,14 @@ vs::Status FeatureMatrix::RefineRows(
   // One group at a time, inline: a failure leaves the groups before it
   // refined.
   for (const auto& [key, members] : groups) {
-    VS_RETURN_IF_ERROR(MaterializeGroups(
-        executor, views, {members}, passes, *registry_,
+    const std::vector<std::vector<size_t>> group = {members};
+    std::vector<GroupResults> results;
+    VS_RETURN_IF_ERROR(RunGroupPasses(executor, views, group, passes,
+                                      /*pool=*/nullptr, &results));
+    VS_RETURN_IF_ERROR(ComputeGroupFeatures(
+        group, &results, *registry_,
         use_kernels_ && registry_->fuses_builtins(), /*pool=*/nullptr,
-        &state.raw, nullptr));
+        &state.raw));
     for (size_t row : members) {
       state.exact[row] = true;
       ++state.num_exact;

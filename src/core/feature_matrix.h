@@ -52,11 +52,11 @@ struct FeatureMatrixOptions {
   /// Seed of the sampling pass.
   uint64_t seed = 123;
   /// Borrowed pool for the build's three phases — the target measure
-  /// gather, one task per (dimension, bins) group for its target and
-  /// reference passes, then one task per view for its features — with the
-  /// calling thread running tasks too; nullptr runs them inline.  The
-  /// matrix is bit-identical either way, and one pool may serve concurrent
-  /// builds.  RefineRows always runs inline.
+  /// gather and bin staging, one task per (group, measure) target pass and
+  /// one reference task per group, then one task per view for its
+  /// features — with the calling thread running tasks too; nullptr runs
+  /// them inline.  The matrix is bit-identical either way, and one pool
+  /// may serve concurrent builds.  RefineRows always runs inline.
   ThreadPool* pool = nullptr;
   /// Share one scan across all views of a dimension (SeeDB-style
   /// batching; ~5x faster builds).  Disable to reproduce the per-view

@@ -16,24 +16,34 @@ namespace vs::data {
 
 namespace {
 
-/// Finalizes one SoA kernel slot with AggregateAccumulator semantics
-/// (empty bins yield 0 for every function).
-double FinalizeKernelSlot(const KernelGrid& grid, size_t b,
-                          AggregateFunction f) {
-  if (grid.counts[b] == 0) return 0.0;
+/// Finalizes every slot of \p grid for \p f into \p out with
+/// AggregateAccumulator semantics (empty bins yield 0 for every function).
+/// One loop per function, not a dispatch per slot: a 20,000-bin grid
+/// finalizes five times per measure.
+void FinalizeGrid(const KernelGrid& grid, AggregateFunction f, double* out) {
+  const size_t nb = grid.size();
+  const int64_t* counts = grid.counts.data();
+  const double* moment = grid.sums.data();
   switch (f) {
     case AggregateFunction::kCount:
-      return static_cast<double>(grid.counts[b]);
-    case AggregateFunction::kSum:
-      return grid.sums[b];
+      for (size_t b = 0; b < nb; ++b) out[b] = static_cast<double>(counts[b]);
+      return;
     case AggregateFunction::kAvg:
-      return grid.sums[b] / static_cast<double>(grid.counts[b]);
+      for (size_t b = 0; b < nb; ++b) {
+        out[b] = counts[b] == 0 ? 0.0
+                                : moment[b] / static_cast<double>(counts[b]);
+      }
+      return;
+    case AggregateFunction::kSum:
+      break;
     case AggregateFunction::kMin:
-      return grid.mins[b];
+      moment = grid.mins.data();
+      break;
     case AggregateFunction::kMax:
-      return grid.maxs[b];
+      moment = grid.maxs.data();
+      break;
   }
-  return 0.0;
+  for (size_t b = 0; b < nb; ++b) out[b] = counts[b] == 0 ? 0.0 : moment[b];
 }
 
 using LabelsPtr = std::shared_ptr<const std::vector<std::string>>;
@@ -86,11 +96,8 @@ GroupByResult FinalizeResult(std::shared_ptr<const KernelGrid> grid,
   GroupByResult result;
   result.bin_labels = std::move(labels);
   result.rows_seen = rows_seen;
-  const size_t nb = grid->size();
-  result.values.resize(nb);
-  for (size_t b = 0; b < nb; ++b) {
-    result.values[b] = FinalizeKernelSlot(*grid, b, func);
-  }
+  result.values.resize(grid->size());
+  FinalizeGrid(*grid, func, result.values.data());
   result.moments = std::move(grid);
   return result;
 }
@@ -144,7 +151,7 @@ GroupByExecutor::GroupByExecutor(const Table* table,
                                  const GroupByExecutorOptions& options)
     : table_(table), options_(options) {}
 
-vs::Result<GroupByExecutor::NumericBinDef> GroupByExecutor::NumericBins(
+vs::Result<KernelBinDef> GroupByExecutor::NumericBins(
     const std::string& dimension, int32_t num_bins) const {
   if (num_bins <= 0) {
     return vs::Status::InvalidArgument("numeric dimension '" + dimension +
@@ -182,7 +189,7 @@ vs::Result<GroupByExecutor::NumericBinDef> GroupByExecutor::NumericBins(
                             : std::make_pair(lo, hi);
   }
   const auto [lo, hi] = *range;
-  NumericBinDef def;
+  KernelBinDef def;
   def.lo = lo;
   const double span = hi - lo;
   def.width = span > 0.0 ? span / num_bins : 1.0;
@@ -262,7 +269,7 @@ vs::Result<GroupByResult> GroupByExecutor::Execute(
   } else {
     VS_ASSIGN_OR_RETURN(NumericColumnView dim,
                         NumericColumnView::Wrap(dim_col.get()));
-    VS_ASSIGN_OR_RETURN(NumericBinDef bins,
+    VS_ASSIGN_OR_RETURN(KernelBinDef bins,
                         NumericBins(spec.dimension, spec.num_bins));
     const int32_t nb = spec.num_bins;
     groups.assign(static_cast<size_t>(nb), AggregateAccumulator{});
@@ -298,8 +305,28 @@ vs::Status ValidateBatch(const std::vector<GroupBySpec>& specs) {
 
 }  // namespace
 
+vs::Result<KernelDimension> GroupByExecutor::KernelDimensionOf(
+    const std::string& dimension, int32_t num_bins) const {
+  VS_ASSIGN_OR_RETURN(ColumnPtr col, table_->ColumnByName(dimension));
+  KernelDimension out;
+  out.column = col.get();  // owned by table_
+  if (const auto* cat = dynamic_cast<const CategoricalColumn*>(col.get())) {
+    if (num_bins > 0) {
+      return vs::Status::InvalidArgument(
+          "categorical dimension '" + dimension + "' must use num_bins = 0");
+    }
+    out.num_bins = cat->cardinality();
+    return out;
+  }
+  VS_RETURN_IF_ERROR(NumericColumnView::Wrap(col.get()).status());
+  VS_ASSIGN_OR_RETURN(out.numeric_bins, NumericBins(dimension, num_bins));
+  out.num_bins = num_bins;
+  return out;
+}
+
 vs::Result<GatheredMeasures> GroupByExecutor::GatherMeasures(
     const std::vector<std::string>& measures,
+    const std::vector<std::pair<std::string, int32_t>>& dimensions,
     const SelectionVector& selection, ThreadPool* pool) const {
   std::vector<const Column*> columns;  // owned by table_
   columns.reserve(measures.size());
@@ -308,8 +335,15 @@ vs::Result<GatheredMeasures> GroupByExecutor::GatherMeasures(
     VS_RETURN_IF_ERROR(NumericColumnView::Wrap(col.get()).status());
     columns.push_back(col.get());
   }
-  return GatheredMeasures::Gather(columns, selection, table_->num_rows(),
-                                 pool);
+  std::vector<KernelDimension> staged;
+  staged.reserve(dimensions.size());
+  for (const auto& [dimension, num_bins] : dimensions) {
+    VS_ASSIGN_OR_RETURN(KernelDimension dim,
+                        KernelDimensionOf(dimension, num_bins));
+    staged.push_back(dim);
+  }
+  return GatheredMeasures::Gather(columns, staged, selection,
+                                 table_->num_rows(), pool);
 }
 
 vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatch(
@@ -361,7 +395,7 @@ vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatch(
     VS_ASSIGN_OR_RETURN(NumericColumnView dim,
                         NumericColumnView::Wrap(dim_col.get()));
     VS_ASSIGN_OR_RETURN(
-        NumericBinDef bins,
+        KernelBinDef bins,
         NumericBins(specs[0].dimension, specs[0].num_bins));
     num_bins = specs[0].num_bins;
     bin_labels = NumericBinLabels(bins.lo, bins.width, num_bins);
@@ -433,32 +467,17 @@ vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatchKernel(
     measure_owners.push_back(std::move(col));
   }
 
-  VS_ASSIGN_OR_RETURN(ColumnPtr dim_col,
-                      table_->ColumnByName(specs[0].dimension));
-  const auto* cat = dynamic_cast<const CategoricalColumn*>(dim_col.get());
-  int32_t num_bins = 0;
-  LabelsPtr bin_labels;
-  KernelBinDef kernel_bins;
-  const KernelBinDef* kernel_bins_ptr = nullptr;
-  if (cat != nullptr) {
-    if (specs[0].num_bins > 0) {
-      return vs::Status::InvalidArgument(
-          "categorical dimension '" + specs[0].dimension +
-          "' must use num_bins = 0");
-    }
-    num_bins = cat->cardinality();
-    bin_labels = CategoricalLabels(*table_, specs[0].dimension, *cat);
-  } else {
-    VS_RETURN_IF_ERROR(NumericColumnView::Wrap(dim_col.get()).status());
-    VS_ASSIGN_OR_RETURN(
-        NumericBinDef bins,
-        NumericBins(specs[0].dimension, specs[0].num_bins));
-    num_bins = specs[0].num_bins;
-    bin_labels = NumericBinLabels(bins.lo, bins.width, num_bins);
-    kernel_bins.lo = bins.lo;
-    kernel_bins.width = bins.width;
-    kernel_bins_ptr = &kernel_bins;
-  }
+  VS_ASSIGN_OR_RETURN(const KernelDimension dim,
+                      KernelDimensionOf(specs[0].dimension, specs[0].num_bins));
+  const int32_t num_bins = dim.num_bins;
+  const KernelBinDef* kernel_bins = dim.numeric_bins ? &*dim.numeric_bins
+                                                     : nullptr;
+  const LabelsPtr bin_labels =
+      kernel_bins != nullptr
+          ? NumericBinLabels(kernel_bins->lo, kernel_bins->width, num_bins)
+          : CategoricalLabels(
+                *table_, specs[0].dimension,
+                static_cast<const CategoricalColumn&>(*dim.column));
 
   // Full-table grids come from the table memo when present; the kernel
   // scans only for the measures still missing.  Each measure's grid is
@@ -485,10 +504,9 @@ vs::Result<std::vector<GroupByResult>> GroupByExecutor::ExecuteBatchKernel(
     VS_ASSIGN_OR_RETURN(
         std::vector<KernelGrid> fresh,
         gathered != nullptr
-            ? GroupByKernelRun(dim_col.get(), kernel_bins_ptr, num_bins,
-                               scan_cols, *gathered)
-            : GroupByKernelRun(dim_col.get(), kernel_bins_ptr, num_bins,
-                               scan_cols, selection, table_->num_rows()));
+            ? GroupByKernelRun(dim.column, num_bins, scan_cols, *gathered)
+            : GroupByKernelRun(dim.column, kernel_bins, num_bins, scan_cols,
+                               selection, table_->num_rows()));
     for (size_t k = 0; k < missing.size(); ++k) {
       auto grid = std::make_shared<const KernelGrid>(std::move(fresh[k]));
       grids[missing[k]] =

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -111,19 +112,24 @@ class GroupByExecutor {
       const std::vector<GroupBySpec>& specs,
       const SelectionVector* selection) const;
 
-  /// Gathers the measure columns named in \p measures over \p selection
+  /// Gathers the measure columns named in \p measures and stages the bins
+  /// of each (dimension, num_bins) pair in \p dimensions over \p selection
   /// (borrowed; must outlive the result) for the ExecuteBatch overload
-  /// below, one \p pool task per measure (inline when \p pool is null).
-  /// Fails like ExecuteBatch on an unknown or non-numeric measure, and
-  /// with OutOfRange on a bad selection row id, before any scan.
+  /// below, one \p pool task per measure and per dimension (inline when
+  /// \p pool is null).  Fails like ExecuteBatch on an unknown or
+  /// non-numeric measure, an unknown dimension or a bin count its type does
+  /// not take, and with OutOfRange on a bad selection row id, before any
+  /// scan.
   vs::Result<GatheredMeasures> GatherMeasures(
       const std::vector<std::string>& measures,
+      const std::vector<std::pair<std::string, int32_t>>& dimensions,
       const SelectionVector& selection, ThreadPool* pool = nullptr) const;
 
   /// ExecuteBatch over gathered.selection() that folds every spec's
-  /// measure from its copy in \p gathered (each must have been gathered
-  /// from this table; InvalidArgument otherwise) — for callers that run
-  /// several batches over one selection.  Results are bit-identical to
+  /// measure from its copy in \p gathered by the staged bins of the specs'
+  /// (dimension, num_bins) (each must have been gathered or staged from
+  /// this table; InvalidArgument otherwise) — for callers that run several
+  /// batches over one selection.  Results are bit-identical to
   /// ExecuteBatch(specs, &gathered.selection()).  The scalar oracle path
   /// reads in place.
   vs::Result<std::vector<GroupByResult>> ExecuteBatch(
@@ -137,15 +143,16 @@ class GroupByExecutor {
   const GroupByExecutorOptions& options() const { return options_; }
 
  private:
-  struct NumericBinDef {
-    double lo = 0.0;
-    double width = 1.0;  // per-bin width; > 0
-  };
-
   /// Equi-width bins over the full-table [min, max] of a numeric
   /// dimension; the range is memoized in the table memo.
-  vs::Result<NumericBinDef> NumericBins(const std::string& dimension,
-                                        int32_t num_bins) const;
+  vs::Result<KernelBinDef> NumericBins(const std::string& dimension,
+                                       int32_t num_bins) const;
+
+  /// \p dimension at \p num_bins as the kernel takes it (the column is
+  /// owned by the table).  Fails on an unknown or non-numeric,
+  /// non-categorical dimension and on a bin count its type does not take.
+  vs::Result<KernelDimension> KernelDimensionOf(const std::string& dimension,
+                                                int32_t num_bins) const;
 
   /// The typed-kernel implementation behind ExecuteBatch (specs already
   /// validated to share dimension and bin count).  With \p gathered the

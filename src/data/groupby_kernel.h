@@ -24,25 +24,29 @@
 /// fixed lane order) so that a zipf-popular bin carries four independent
 /// floating-point dependency chains instead of serializing on add latency.
 ///
-/// Gathered measures.  A feature-matrix build runs one target pass per
-/// (dimension, bins) group over the same query subset, and in place every
-/// pass re-reads every measure through the scattered selection: at
-/// e2ebench's cold_explore shape (|Q| ~ 180k of 2M rows) nearly every
-/// selected row sits on its own cache line.  GatheredMeasures copies the
-/// selected cells of each distinct measure once, into arrays aligned with
-/// the selection; the gathered overload of GroupByKernelRun still stages
-/// the dimension through the selection (stage 1), but folds each measure
-/// from its copy by domain position (stage 2 reads it contiguously).  The
-/// gather checks each selection row id once, so the gathered run does not
-/// check them again.  Lanes are assigned by domain position in both modes,
-/// so the grids are bit-identical to the in-place run.
+/// Gathered measures and staged bins.  A feature-matrix build runs every
+/// (dimension, bins) group's target pass over the same query subset, and
+/// in place every pass re-reads the dimension and every measure through
+/// the scattered selection: at e2ebench's cold_explore shape (|Q| ~ 180k
+/// of 2M rows) nearly every selected row sits on its own cache line.
+/// GatheredMeasures copies the selected cells of each distinct measure
+/// once, and stages each target group's bins once (stage 1 over the whole
+/// selection, into one int32 per selected row, -1 = skip), into arrays
+/// aligned with the selection.  The gathered overload of GroupByKernelRun
+/// then reads both the bins and the measure contiguously by domain
+/// position, so a build can fold each (group, measure) as its own task
+/// without staging the dimension once per measure.  The gather checks
+/// each selection row id once, so the gathered run does not check them
+/// again.  Lanes are assigned by domain position in both modes, so the
+/// grids are bit-identical to the in-place run.
 ///
-/// Only a build's target passes gather.  Reference passes, RefineRows and
-/// one-off Execute calls read in place, where a copy is read by one pass
-/// and only adds a write.  Measured with e2ebench on a 4-vCPU Xeon VM:
-/// also gathering the rough α-sample reference cut paper_sessions' create
-/// p50 by 14% but raised its round p50/p99 by 13%/16% (7 alternating
-/// pairs), and a gather per RefineRows call slowed traced refinement by 8%.
+/// Only a build's target passes gather and stage.  Reference passes,
+/// RefineRows and one-off Execute calls read in place, where a copy is
+/// read by one pass and only adds a write.  Measured with e2ebench on a
+/// 4-vCPU Xeon VM: also gathering the rough α-sample reference cut
+/// paper_sessions' create p50 by 14% but raised its round p50/p99 by
+/// 13%/16% (7 alternating pairs), and a gather per RefineRows call slowed
+/// traced refinement by 8%.
 ///
 /// Shared grids.  A pass's grids are immutable once it returns.
 /// GroupByExecutor wraps each measure's grid in one shared_ptr and hands
@@ -53,13 +57,21 @@
 ///
 /// Equivalence contract vs the scalar oracle: bin assignment, counts,
 /// mins and maxs are *exact* (integer adds and min/max are associative).
-/// Without lanes each bin sums in row order, so sums and sumsqs are
+/// The fold selects a bin's min as `v < min ? v : min` (max alike): the
+/// selection AggregateAccumulator::Add makes with a branch, so a NaN never
+/// enters and a -0.0/+0.0 tie keeps the zero seen first, but written as a
+/// select it compiles to minsd/maxsd instead of a branch that mispredicts
+/// on sparse bins.  Lane merging keeps the lowest lane's zero in a tie, so
+/// on the lane path the sign of a zero min/max matches the oracle only
+/// when the bin's first zero sits in its lowest lane holding one.  Without
+/// lanes each bin sums in row order, so sums and sumsqs are
 /// bit-identical too; lane merging reassociates them, and they then agree
 /// within accumulation tolerance.  The end of the pass carries the
 /// `kernel.run_fail` fault point (docs/TESTING.md).
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -114,8 +126,19 @@ vs::Result<std::vector<KernelGrid>> GroupByKernelRun(
     int32_t num_bins, const std::vector<const Column*>& measures,
     const SelectionVector* selection, size_t table_rows);
 
-/// \brief Measure columns gathered over one selection: cell i of a gathered
-/// column is the source column's cell at row selection[i], nulls included.
+/// One target group to stage: a dimension column and its binning, as
+/// GroupByKernelRun takes them.
+struct KernelDimension {
+  const Column* column = nullptr;
+  /// Equi-width binning of a numeric column; unset for a categorical one.
+  std::optional<KernelBinDef> numeric_bins;
+  int32_t num_bins = 0;
+};
+
+/// \brief Measure columns gathered, and dimensions staged, over one
+/// selection: cell i of a gathered column is the source column's cell at
+/// row selection[i], nulls included, and bin i of a staged dimension is
+/// the bin of that row (-1 when its dimension cell is null).
 ///
 /// Build-scoped scratch: it borrows the selection and keys each copy by
 /// its source column, so both must outlive it.  Read-only after Gather,
@@ -123,11 +146,14 @@ vs::Result<std::vector<KernelGrid>> GroupByKernelRun(
 class GatheredMeasures {
  public:
   /// Checks every row id of \p selection against \p table_rows (OutOfRange
-  /// before any cell is read), then copies the selected cells of each
-  /// column in \p columns (int64 or double; InvalidArgument otherwise),
-  /// one \p pool task per column (inline when \p pool is null).
+  /// before any cell is read) and every column (InvalidArgument unless
+  /// \p columns are int64 or double and \p dimensions resolve as
+  /// GroupByKernelRun resolves them), then copies the selected cells of
+  /// each column and stages the bins of each dimension, one \p pool task
+  /// per column and per dimension (inline when \p pool is null).
   static vs::Result<GatheredMeasures> Gather(
       const std::vector<const Column*>& columns,
+      const std::vector<KernelDimension>& dimensions,
       const SelectionVector& selection, size_t table_rows,
       ThreadPool* pool = nullptr);
 
@@ -136,22 +162,34 @@ class GatheredMeasures {
   /// The gathered copy of \p source, or nullptr when it was not gathered.
   const Column* Find(const Column* source) const;
 
+  /// The staged bins of \p dimension at \p num_bins, or nullptr when it
+  /// was not staged.
+  const std::vector<int32_t>* FindBins(const Column* dimension,
+                                       int32_t num_bins) const;
+
  private:
+  struct StagedBins {
+    const Column* dimension = nullptr;
+    int32_t num_bins = 0;
+    std::vector<int32_t> bins;
+  };
+
   GatheredMeasures() = default;
 
   const SelectionVector* selection_ = nullptr;
   std::vector<std::pair<const Column*, std::unique_ptr<const Column>>>
       columns_;
+  std::vector<StagedBins> staged_;
 };
 
-/// The gathered-measure mode of GroupByKernelRun: groups the rows of
-/// gathered.selection() by \p dimension, read through the selection, and
-/// folds each column of \p measures from its copy in \p gathered (every
-/// one must have been gathered; InvalidArgument otherwise).  The grids are
-/// bit-identical to the in-place run over &gathered.selection().
+/// The gathered mode of GroupByKernelRun: folds each column of \p measures
+/// from its copy in \p gathered by the staged bins of \p dimension at
+/// \p num_bins, both read contiguously (each must have been gathered or
+/// staged; InvalidArgument otherwise).  The grids are bit-identical to the
+/// in-place run over &gathered.selection().
 vs::Result<std::vector<KernelGrid>> GroupByKernelRun(
-    const Column* dimension, const KernelBinDef* numeric_bins,
-    int32_t num_bins, const std::vector<const Column*>& measures,
+    const Column* dimension, int32_t num_bins,
+    const std::vector<const Column*>& measures,
     const GatheredMeasures& gathered);
 
 /// Typed min/max scan over the non-null values of a numeric (int64 or

@@ -649,33 +649,56 @@ TEST_F(FeatureMatrixGatherTest, KernelFaultFailsGatheredBuild) {
 }
 
 // Every pool size builds the sequential matrix, bit for bit: exact and
-// rough, shared scans and per-view groups.
+// rough, shared scans and per-view groups.  Dimension c has more than 256
+// levels, so its target passes take the no-lane path, and null cells in
+// it and in the md/mi measures; on the larger table the exact build's
+// few-bin groups take the lane path beside it.
 TEST_F(FeatureMatrixGatherTest, EveryPoolSizeMatchesSequential) {
-  const data::Table table = MakeTable(6'000, 500, 101);
-  const auto views = *EnumerateViews(table, {});
-  const data::SelectionVector query = Subset(table.num_rows(), 0.35, 102);
-  const UtilityFeatureRegistry registry = UtilityFeatureRegistry::Default();
-  for (const double sample_rate : {1.0, 0.3}) {
-    for (const bool shared_scan : {true, false}) {
-      FeatureMatrixOptions options;
-      options.sample_rate = sample_rate;
-      options.seed = 5;
-      options.shared_scan = shared_scan;
-      auto want = FeatureMatrix::Build(&table, views, query, &registry,
-                                       options);
-      ASSERT_TRUE(want.ok());
-      for (const size_t workers : {0, 1, 3, 8}) {
-        SCOPED_TRACE("alpha " + std::to_string(sample_rate) + " shared " +
-                     std::to_string(shared_scan) + " workers " +
-                     std::to_string(workers));
-        ThreadPool pool(workers);
-        options.pool = &pool;
-        auto got = FeatureMatrix::Build(&table, views, query, &registry,
-                                        options);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        ExpectSameRaw(*want, *got);
-        EXPECT_EQ(got->AllExact(), sample_rate >= 1.0);
-        options.pool = nullptr;
+  struct Shape {
+    size_t rows;
+    uint64_t levels;
+    double keep;
+  };
+  for (const Shape& shape :
+       {Shape{6'000, 500, 0.35}, Shape{70'000, 300, 0.97}}) {
+    const data::Table table = MakeTable(shape.rows, shape.levels, 101);
+    const auto views = *EnumerateViews(table, {});
+    const data::SelectionVector query =
+        Subset(table.num_rows(), shape.keep, 102);
+    const auto* c = dynamic_cast<const data::CategoricalColumn*>(
+        table.ColumnByName("c")->get());
+    ASSERT_NE(c, nullptr);
+    ASSERT_GT(c->cardinality(), 256);
+    ASSERT_GT(c->null_count(), 0u);
+    ASSERT_GT((*table.ColumnByName("md"))->null_count(), 0u);
+    ASSERT_GT((*table.ColumnByName("mi"))->null_count(), 0u);
+    if (shape.keep > 0.9) {
+      ASSERT_GE(query.size(), size_t{1} << 16);
+    }
+    const UtilityFeatureRegistry registry = UtilityFeatureRegistry::Default();
+    for (const double sample_rate : {1.0, 0.3}) {
+      for (const bool shared_scan : {true, false}) {
+        FeatureMatrixOptions options;
+        options.sample_rate = sample_rate;
+        options.seed = 5;
+        options.shared_scan = shared_scan;
+        auto want = FeatureMatrix::Build(&table, views, query, &registry,
+                                         options);
+        ASSERT_TRUE(want.ok());
+        for (const size_t workers : {0, 1, 3, 8}) {
+          SCOPED_TRACE("rows " + std::to_string(shape.rows) + " alpha " +
+                       std::to_string(sample_rate) + " shared " +
+                       std::to_string(shared_scan) + " workers " +
+                       std::to_string(workers));
+          ThreadPool pool(workers);
+          options.pool = &pool;
+          auto got = FeatureMatrix::Build(&table, views, query, &registry,
+                                          options);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ExpectSameRaw(*want, *got);
+          EXPECT_EQ(got->AllExact(), sample_rate >= 1.0);
+          options.pool = nullptr;
+        }
       }
     }
   }
@@ -745,11 +768,14 @@ TEST_F(FeatureMatrixGatherTest, CustomFeatureRegistryMatchesSequential) {
 // An injected kernel failure fails a pooled build with the status of the
 // sequential build, wherever among the pool's tasks it fires.  Each build
 // reads a fresh table, so every one starts from an empty memo and makes
-// the same kernel passes.
+// the same kernel passes: for each of the four groups (c, s, x and i, in
+// view order) one gathered target pass per measure (md, mi, mc), then its
+// reference pass, 4 x (3 + 1) = 16 in the inline build's task order.
 TEST_F(FeatureMatrixGatherTest, KernelFaultReturnsSequentialStatus) {
   const UtilityFeatureRegistry registry = UtilityFeatureRegistry::Default();
   ThreadPool pool(3);
-  auto build_with = [&](ThreadPool* with, std::vector<uint64_t> schedule) {
+  auto build_with = [&](ThreadPool* with, std::vector<uint64_t> schedule,
+                        uint64_t* hits) {
     const data::Table table = MakeTable(3'000, 60, 131);
     const auto views = *EnumerateViews(table, {});
     const data::SelectionVector query = Subset(table.num_rows(), 0.4, 132);
@@ -762,19 +788,29 @@ TEST_F(FeatureMatrixGatherTest, KernelFaultReturnsSequentialStatus) {
     fault::ScopedFaultInjector scoped(&injector);
     FeatureMatrixOptions options;
     options.pool = with;
-    return FeatureMatrix::Build(&table, views, query, &registry, options)
-        .status();
+    const vs::Status status =
+        FeatureMatrix::Build(&table, views, query, &registry, options)
+            .status();
+    if (hits != nullptr) *hits = injector.Stats("kernel.run_fail").hits;
+    return status;
   };
-  // Every hit fails, or exactly the first, second or last kernel pass.
+  uint64_t passes = 0;
+  ASSERT_TRUE(build_with(nullptr, {1000}, &passes).ok());
+  ASSERT_EQ(passes, 16u);
+  // Every hit fails, or exactly the first or second target pass, the
+  // first reference pass, or the last pass.
   for (const std::vector<uint64_t>& schedule :
-       {std::vector<uint64_t>{}, {1}, {2}, {6}}) {
+       {std::vector<uint64_t>{}, {1}, {2}, {4}, {16}}) {
     SCOPED_TRACE("schedule " + (schedule.empty()
                                     ? std::string("every hit")
                                     : std::to_string(schedule[0])));
-    const vs::Status sequential = build_with(nullptr, schedule);
+    uint64_t hits = 0;
+    const vs::Status sequential = build_with(nullptr, schedule, &hits);
     ASSERT_FALSE(sequential.ok());
+    // The inline build stops at the failing pass.
+    EXPECT_EQ(hits, schedule.empty() ? 1u : schedule[0]);
     for (int run = 0; run < 5; ++run) {
-      const vs::Status pooled = build_with(&pool, schedule);
+      const vs::Status pooled = build_with(&pool, schedule, nullptr);
       EXPECT_EQ(pooled.code(), sequential.code());
       EXPECT_EQ(pooled.message(), sequential.message());
     }
@@ -789,13 +825,16 @@ TEST_F(FeatureMatrixGatherTest, FirstFailureInOrderWinsWithPool) {
   const auto views = *EnumerateViews(table, {});
   const data::SelectionVector query = Subset(table.num_rows(), 0.4, 142);
   ThreadPool pool(3);
-  FeatureMatrixOptions pooled;
-  pooled.pool = &pool;
   auto expect_inline_status = [&](const std::vector<ViewSpec>& specs,
                                   const UtilityFeatureRegistry& registry,
-                                  const std::string& want) {
+                                  bool use_kernels, const std::string& want) {
+    FeatureMatrixOptions sequential;
+    sequential.use_kernels = use_kernels;
+    FeatureMatrixOptions pooled = sequential;
+    pooled.pool = &pool;
     const vs::Status inline_status =
-        FeatureMatrix::Build(&table, specs, query, &registry, {}).status();
+        FeatureMatrix::Build(&table, specs, query, &registry, sequential)
+            .status();
     ASSERT_FALSE(inline_status.ok());
     EXPECT_NE(inline_status.message().find(want), std::string::npos)
         << inline_status.ToString();
@@ -808,7 +847,9 @@ TEST_F(FeatureMatrixGatherTest, FirstFailureInOrderWinsWithPool) {
     }
   };
 
-  // Phase A: unknown dimensions in the second and the last group.
+  // Unknown dimensions in the second and the last group.  The kernel path
+  // meets them while staging the groups' bins (phase 0), the scalar
+  // oracle in the groups' passes (phase A); both in group order.
   std::vector<ViewSpec> bad_groups = views;
   ViewSpec first_bad = views.back();
   first_bad.dimension = "no_such_dimension_a";
@@ -817,7 +858,11 @@ TEST_F(FeatureMatrixGatherTest, FirstFailureInOrderWinsWithPool) {
   bad_groups.insert(bad_groups.begin() + 1, first_bad);
   bad_groups.push_back(second_bad);
   const UtilityFeatureRegistry builtins = UtilityFeatureRegistry::Default();
-  expect_inline_status(bad_groups, builtins, "no_such_dimension_a");
+  for (const bool use_kernels : {true, false}) {
+    SCOPED_TRACE(use_kernels ? "kernel" : "scalar oracle");
+    expect_inline_status(bad_groups, builtins, use_kernels,
+                         "no_such_dimension_a");
+  }
 
   // Phase B: a custom feature fails slowly on the first view and at once
   // on the last group's views, so the later failure is recorded first.
@@ -844,7 +889,7 @@ TEST_F(FeatureMatrixGatherTest, FirstFailureInOrderWinsWithPool) {
                               return 0.0;
                             })
                   .ok());
-  expect_inline_status(views, failing, "slow failure");
+  expect_inline_status(views, failing, /*use_kernels=*/true, "slow failure");
 }
 
 // feature_seconds holds the feature phase's wall time, so with a pool its

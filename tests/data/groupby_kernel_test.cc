@@ -513,12 +513,14 @@ void ExpectBatchesBitEqual(const std::vector<GroupByResult>& want,
   }
 }
 
+// The (dimension, bins) groups of the gather tests.
+const std::vector<std::pair<std::string, int32_t>> kGatherGroups = {
+    {"c", 0}, {"x", 7}, {"i", 4}};
+
 // Every (dimension, bins) batch over every measure and function.
 std::vector<std::vector<GroupBySpec>> GatherBatches() {
   std::vector<std::vector<GroupBySpec>> batches;
-  const std::pair<const char*, int32_t> groups[] = {
-      {"c", 0}, {"x", 7}, {"i", 4}};
-  for (const auto& [dim, bins] : groups) {
+  for (const auto& [dim, bins] : kGatherGroups) {
     std::vector<GroupBySpec> batch;
     for (const char* measure : {"md", "mi", "mc"}) {
       for (AggregateFunction func :
@@ -533,8 +535,9 @@ std::vector<std::vector<GroupBySpec>> GatherBatches() {
   return batches;
 }
 
-// Runs every batch gathered and in place over \p sel; below the lane
-// thresholds (\p below_lanes) also against the scalar oracle.
+// Runs every batch gathered and in place over \p sel, gathered also one
+// batch per measure (a build's per-(group, measure) target tasks); below
+// the lane thresholds (\p below_lanes) also against the scalar oracle.
 void ExpectGatheredMatchesInPlace(const Table& table,
                                   const SelectionVector& sel,
                                   bool below_lanes) {
@@ -542,7 +545,8 @@ void ExpectGatheredMatchesInPlace(const Table& table,
   GroupByExecutorOptions scalar_options;
   scalar_options.use_kernel = false;
   GroupByExecutor scalar(&table, scalar_options);
-  auto gathered = kernel.GatherMeasures({"md", "mi", "mc"}, sel);
+  auto gathered =
+      kernel.GatherMeasures({"md", "mi", "mc"}, kGatherGroups, sel);
   ASSERT_TRUE(gathered.ok()) << gathered.status().ToString();
   EXPECT_EQ(&gathered->selection(), &sel);
   for (const auto& batch : GatherBatches()) {
@@ -552,6 +556,18 @@ void ExpectGatheredMatchesInPlace(const Table& table,
     auto got = kernel.ExecuteBatch(batch, *gathered);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ExpectBatchesBitEqual(*in_place, *got);
+    for (const char* measure : {"md", "mi", "mc"}) {
+      std::vector<GroupBySpec> one_measure;
+      std::vector<GroupByResult> want;
+      for (size_t s = 0; s < batch.size(); ++s) {
+        if (batch[s].measure != measure) continue;
+        one_measure.push_back(batch[s]);
+        want.push_back((*in_place)[s]);
+      }
+      auto split = kernel.ExecuteBatch(one_measure, *gathered);
+      ASSERT_TRUE(split.ok()) << split.status().ToString();
+      ExpectBatchesBitEqual(want, *split);
+    }
     if (below_lanes) {
       auto oracle = scalar.ExecuteBatch(batch, &sel);
       ASSERT_TRUE(oracle.ok());
@@ -594,7 +610,8 @@ TEST(GroupByKernelGatherTest, LanePathAndHighCardinalityMatchInPlace) {
   scalar_options.use_kernel = false;
   GroupByExecutor scalar(&table, scalar_options);
   GroupByExecutor kernel(&table, {});
-  auto gathered = kernel.GatherMeasures({"md", "mi", "mc"}, sel);
+  auto gathered =
+      kernel.GatherMeasures({"md", "mi", "mc"}, kGatherGroups, sel);
   ASSERT_TRUE(gathered.ok());
   const std::vector<GroupBySpec> batch = GatherBatches()[0];
   auto oracle = scalar.ExecuteBatch(batch, &sel);
@@ -623,7 +640,8 @@ TEST(GroupByKernelGatherTest, GatherRejectsBadInputsBeforeAnyScan) {
       {std::numeric_limits<uint32_t>::max()},
   };
   for (const SelectionVector& bad_sel : bad_sels) {
-    auto gathered = kernel.GatherMeasures({"md", "mi"}, bad_sel);
+    auto gathered = kernel.GatherMeasures({"md", "mi"}, kGatherGroups,
+                                          bad_sel);
     ASSERT_FALSE(gathered.ok());
     EXPECT_EQ(gathered.status().code(), StatusCode::kOutOfRange);
     auto oracle =
@@ -632,7 +650,7 @@ TEST(GroupByKernelGatherTest, GatherRejectsBadInputsBeforeAnyScan) {
     EXPECT_EQ(oracle.status().code(), gathered.status().code());
 
     ColumnPtr md = *table.ColumnByName("md");
-    auto direct = GatheredMeasures::Gather({md.get()}, bad_sel,
+    auto direct = GatheredMeasures::Gather({md.get()}, {}, bad_sel,
                                            table.num_rows());
     ASSERT_FALSE(direct.ok());
     EXPECT_EQ(direct.status().code(), StatusCode::kOutOfRange);
@@ -640,23 +658,44 @@ TEST(GroupByKernelGatherTest, GatherRejectsBadInputsBeforeAnyScan) {
 
   const SelectionVector sel = {0, 1, 2};
   // Unknown and non-numeric measures fail as ExecuteBatch does.
-  auto missing = kernel.GatherMeasures({"missing"}, sel);
+  auto missing = kernel.GatherMeasures({"missing"}, {}, sel);
   auto missing_batch =
       kernel.ExecuteBatch({{"c", "missing", AggregateFunction::kSum, 0}}, &sel);
   ASSERT_FALSE(missing.ok());
   ASSERT_FALSE(missing_batch.ok());
   EXPECT_EQ(missing.status().code(), missing_batch.status().code());
-  auto categorical = kernel.GatherMeasures({"c"}, sel);
+  auto categorical = kernel.GatherMeasures({"c"}, {}, sel);
   ASSERT_FALSE(categorical.ok());
   EXPECT_EQ(categorical.status().code(), StatusCode::kInvalidArgument);
+  // So do unknown dimensions and bin counts a dimension does not take.
+  for (const std::pair<std::string, int32_t>& bad_group :
+       {std::pair<std::string, int32_t>{"missing", 0}, {"c", 3}, {"x", 0}}) {
+    SCOPED_TRACE(bad_group.first + " " + std::to_string(bad_group.second));
+    auto staged = kernel.GatherMeasures({"md"}, {bad_group}, sel);
+    auto batch = kernel.ExecuteBatch(
+        {{bad_group.first, "md", AggregateFunction::kSum, bad_group.second}},
+        &sel);
+    ASSERT_FALSE(staged.ok());
+    ASSERT_FALSE(batch.ok());
+    EXPECT_EQ(staged.status().code(), batch.status().code());
+    EXPECT_EQ(staged.status().message(), batch.status().message());
+  }
 
-  // A spec whose measure was not gathered is refused, not read in place.
-  auto gathered = kernel.GatherMeasures({"md"}, sel);
+  // A spec whose measure was not gathered, or whose (dimension, bins) was
+  // not staged, is refused, not read in place.
+  auto gathered = kernel.GatherMeasures({"md"}, {{"c", 0}}, sel);
   ASSERT_TRUE(gathered.ok());
   auto ungathered =
       kernel.ExecuteBatch({{"c", "mi", AggregateFunction::kSum, 0}}, *gathered);
   ASSERT_FALSE(ungathered.ok());
   EXPECT_EQ(ungathered.status().code(), StatusCode::kInvalidArgument);
+  for (const GroupBySpec& unstaged :
+       {GroupBySpec{"x", "md", AggregateFunction::kSum, 7},
+        GroupBySpec{"i", "md", AggregateFunction::kSum, 4}}) {
+    auto got = kernel.ExecuteBatch({unstaged}, *gathered);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+  }
   // Batch validation still applies.
   EXPECT_FALSE(kernel.ExecuteBatch({}, *gathered).ok());
 }

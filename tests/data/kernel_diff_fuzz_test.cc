@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <string>
@@ -213,6 +214,110 @@ TEST(KernelDiffFuzzTest, HighCardinalityDimensionWithNastyMeasures) {
     ExpectDifferentialMatch(table, spec, nullptr, "20k levels, all rows");
     ExpectDifferentialMatch(table, spec, &some, "20k levels, selection");
     ExpectDifferentialMatch(table, spec, &none, "20k levels, empty sel");
+  }
+}
+
+// Min/max are selections, `v < min ? v : min`, so they must pick the very
+// value the oracle's AggregateAccumulator::Add picks, sign of zero and
+// NaN included, which ExpectSameDoubles cannot see (it treats -0.0 and
+// +0.0 as equal and any two NaNs alike).  Each case is one bin fed an
+// 8-row run starting at a multiple of 4 (lane 0), so on the lane path a
+// bin's first zero sits in its lowest lane.  Checked by bit pattern at one
+// lane (1,000 rows) and at four (2^17 rows, 12 bins), in place and through
+// gathered measures and staged bins.
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void ExpectSameBits(const std::vector<double>& oracle,
+                    const std::vector<double>& got, const std::string& what,
+                    size_t skip_bin) {
+  ASSERT_EQ(oracle.size(), got.size()) << what;
+  for (size_t i = 0; i < oracle.size(); ++i) {
+    if (i == skip_bin) continue;
+    EXPECT_TRUE(SameBits(oracle[i], got[i]))
+        << what << " bin " << i << ": oracle " << oracle[i]
+        << (std::signbit(oracle[i]) ? " (sign set)" : "") << ", kernel "
+        << got[i] << (std::signbit(got[i]) ? " (sign set)" : "");
+  }
+}
+
+TEST(KernelDiffFuzzTest, MinMaxMatchOracleBitForBit) {
+  constexpr double kPosZero = 0.0;
+  constexpr double kNegZero = -0.0;
+  const std::vector<std::vector<double>> runs = {
+      {kNegZero, kPosZero, kPosZero, kPosZero, kPosZero, kPosZero, kPosZero,
+       kPosZero},
+      {kPosZero, kNegZero, kNegZero, kNegZero, kNegZero, kNegZero, kNegZero,
+       kNegZero},
+      {kNegZero, kPosZero, kNegZero, kPosZero, kPosZero, kNegZero, kPosZero,
+       kNegZero},
+      {kNaN, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0},
+      {1.0, 2.0, 3.0, kNaN, 4.0, 5.0, 6.0, 7.0},
+      {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, kNaN},
+      {5.0, kInf, -kInf, 2.0, kNaN, -3.0, 4.0, 1.0},
+      {kInf, kInf, kInf, kInf, kInf, kInf, kInf, kInf},
+      {-kInf, -kInf, -kInf, -kInf, -kInf, -kInf, -kInf, -kInf},
+      {kNaN, kNaN, kNaN, kNaN, kNaN, kNaN, kNaN, kNaN},
+      // The lane-order bin: +0.0 first (offset 3, lane 3), then -0.0
+      // (offset 4, lane 0).
+      {1.0, 1.0, 1.0, kPosZero, kNegZero, 1.0, 1.0, 1.0},
+  };
+  const size_t lane_order_bin = runs.size() - 1;
+  for (const size_t rows : {size_t{1'000}, size_t{1} << 17}) {
+    const bool lanes = rows >= (size_t{1} << 16);
+    SCOPED_TRACE(lanes ? "4 lanes" : "1 lane");
+    std::vector<Value> c;
+    std::vector<Value> m;
+    for (size_t k = 0; k < runs.size(); ++k) {
+      for (double v : runs[k]) {
+        c.emplace_back("K" + std::to_string(k));
+        m.emplace_back(v);
+      }
+    }
+    while (c.size() < rows) {
+      c.emplace_back("filler");
+      m.emplace_back(static_cast<double>(c.size() % 7));
+    }
+    const Table table = BuildTable(c, m);
+    const GroupBySpec min_spec{"c", "m", AggregateFunction::kMin, 0};
+    const GroupBySpec max_spec{"c", "m", AggregateFunction::kMax, 0};
+
+    GroupByExecutorOptions scalar_options;
+    scalar_options.use_kernel = false;
+    const GroupByExecutor scalar(&table, scalar_options);
+    const GroupByExecutor kernel(&table, {});
+    auto oracle = scalar.ExecuteBatch({min_spec, max_spec}, nullptr);
+    auto in_place = kernel.ExecuteBatch({min_spec, max_spec}, nullptr);
+    const SelectionVector all = table.AllRows();
+    auto gathered = kernel.GatherMeasures({"m"}, {{"c", 0}}, all);
+    ASSERT_TRUE(oracle.ok());
+    ASSERT_TRUE(in_place.ok());
+    ASSERT_TRUE(gathered.ok());
+    auto staged = kernel.ExecuteBatch({min_spec, max_spec}, *gathered);
+    ASSERT_TRUE(staged.ok());
+    ASSERT_EQ((*oracle)[0].labels()[lane_order_bin],
+              "K" + std::to_string(lane_order_bin));
+
+    // On the lane path the lane-order bin is checked on its own below.
+    const size_t skip = lanes ? lane_order_bin : runs.size() + 1;
+    for (const auto* got : {&*in_place, &*staged}) {
+      SCOPED_TRACE(got == &*in_place ? "in place" : "staged");
+      ExpectSameBits((*oracle)[0].moments->mins, (*got)[0].moments->mins,
+                     "mins", skip);
+      ExpectSameBits((*oracle)[0].moments->maxs, (*got)[0].moments->maxs,
+                     "maxs", skip);
+      ExpectSameBits((*oracle)[0].values, (*got)[0].values, "MIN", skip);
+      ExpectSameBits((*oracle)[1].values, (*got)[1].values, "MAX", skip);
+      EXPECT_EQ((*oracle)[0].counts(), (*got)[0].counts());
+      // Lane merging keeps the lowest lane's zero: -0.0 from lane 0,
+      // where the oracle keeps the +0.0 it saw first.
+      const double oracle_min = (*oracle)[0].values[lane_order_bin];
+      const double got_min = (*got)[0].values[lane_order_bin];
+      EXPECT_TRUE(SameBits(oracle_min, kPosZero));
+      EXPECT_TRUE(SameBits(got_min, lanes ? kNegZero : kPosZero)) << got_min;
+    }
   }
 }
 
