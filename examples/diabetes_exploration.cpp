@@ -3,19 +3,19 @@
 /// Shows the workflow the paper's introduction motivates: an analyst
 /// issues a SQL query over a patient cohort, ViewSeeker surfaces the
 /// aggregate views where that cohort deviates most from the population,
-/// the analyst steers with a handful of labels, and the learned utility
-/// estimator is saved for reuse.
+/// the analyst steers with a handful of labels, and the session is saved
+/// for reuse.
 
 #include <cstdio>
 
 #include "core/experiment.h"
 #include "core/recommender.h"
 #include "core/seeker.h"
+#include "core/session_io.h"
 #include "core/simulated_user.h"
 #include "data/generator.h"
 #include "data/predicate.h"
 #include "data/query.h"
-#include "ml/model_io.h"
 
 namespace {
 
@@ -99,14 +99,12 @@ int main() {
     PrintViewAsChart(*table, matrix->views()[v], *query);
   }
 
-  // Persist the learned estimator: it IS the session's output
-  // (Algorithm 1 returns the view utility estimator).
-  auto serialized =
-      ml::SerializeLinear(seeker->utility_estimator().model());
-  if (serialized.ok()) {
-    std::printf("\nlearned utility estimator (%zu weights):\n%s",
-                seeker->utility_estimator().model().coefficients().size(),
-                serialized->c_str());
+  // Persist the session: restoring it replays the labels into a
+  // bit-identical view utility estimator, Algorithm 1's output.
+  auto saved = core::SaveSession(*seeker);
+  if (saved.ok()) {
+    std::printf("\nsaved session (%zu labels):\n%s",
+                seeker->num_labeled(), saved->c_str());
   }
   return 0;
 }

@@ -5,8 +5,8 @@
 ///
 /// Each iteration renders the proposed view as a pair of ASCII
 /// histograms (target vs reference) and asks for a 0..1 interestingness
-/// score; `t` shows the current top-5, `q` quits and prints the learned
-/// utility estimator.  --demo answers automatically (for CI and for
+/// score; `t` shows the current top-5, `q` quits and prints the saved
+/// session.  --demo answers automatically (for CI and for
 /// trying the flow without typing).
 
 #include <cstdio>
@@ -16,12 +16,12 @@
 #include <string>
 
 #include "core/seeker.h"
+#include "core/session_io.h"
 #include "core/simulated_user.h"
 #include "core/view_data.h"
 #include "data/csv.h"
 #include "data/generator.h"
 #include "data/predicate.h"
-#include "ml/model_io.h"
 
 namespace {
 
@@ -193,10 +193,11 @@ int main(int argc, char** argv) {
     for (size_t v : *topk) {
       RenderView(table, matrix->views()[v], *query);
     }
-    auto serialized =
-        ml::SerializeLinear(seeker->utility_estimator().model());
-    if (serialized.ok()) {
-      std::printf("\nlearned utility estimator:\n%s", serialized->c_str());
+    // Restoring this text replays the labels into a bit-identical
+    // utility estimator.
+    auto saved = core::SaveSession(*seeker);
+    if (saved.ok()) {
+      std::printf("\nsaved session:\n%s", saved->c_str());
     }
   } else {
     std::printf("\nno labels were provided; nothing to recommend.\n");

@@ -53,7 +53,7 @@ class LinearRegression {
   double intercept() const { return intercept_; }
   const LinearRegressionOptions& options() const { return options_; }
 
-  /// \name Direct parameter injection (model_io deserialization).
+  /// \name Direct parameter injection (tests evaluate a known model).
   /// @{
   void SetParameters(Vector coefficients, double intercept);
   /// @}

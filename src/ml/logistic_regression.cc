@@ -192,11 +192,4 @@ vs::Result<Vector> LogisticRegression::PredictProbaBatch(
   return out;
 }
 
-void LogisticRegression::SetParameters(Vector coefficients,
-                                       double intercept) {
-  coef_ = std::move(coefficients);
-  intercept_ = intercept;
-  fitted_ = true;
-}
-
 }  // namespace vs::ml

@@ -48,9 +48,6 @@ class LogisticRegression {
   double intercept() const { return intercept_; }
   const LogisticRegressionOptions& options() const { return options_; }
 
-  /// Direct parameter injection (model_io deserialization).
-  void SetParameters(Vector coefficients, double intercept);
-
   /// Numerically stable sigmoid.
   static double Sigmoid(double z);
 
