@@ -261,8 +261,9 @@ BENCHMARK(BM_FeatureMatrixBuild)->Arg(100)->Arg(10)->Arg(1)
 
 void BM_FeatureMatrixBuildObs(benchmark::State& state) {
   // The vs::obs overhead budget: arg 0 runs with the metrics registry and
-  // trace collector disabled (the default — each instrumented call site
-  // must cost at most one relaxed atomic load), arg 1 with both enabled.
+  // trace collector disabled (each instrumented call site must then cost
+  // at most one relaxed atomic load; the collector starts disabled, the
+  // registry enabled), arg 1 with both enabled.
   // The disabled variant must stay within noise (<3%) of
   // BM_FeatureMatrixBuild/100 above.
   const bool instrumented = state.range(0) == 1;

@@ -45,7 +45,9 @@ int WriteJsonReport() {
     out += "[";
     for (size_t c = 0; c < g_rows[r].size(); ++c) {
       if (c > 0) out += ",";
-      out += "\"" + obs::JsonEscape(g_rows[r][c]) + "\"";
+      out += '"';
+      out += obs::JsonEscape(g_rows[r][c]);
+      out += '"';
     }
     out += "]";
   }

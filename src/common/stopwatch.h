@@ -25,9 +25,11 @@ class Stopwatch {
   }
 
   /// Elapsed microseconds since construction/Restart.
-  int64_t ElapsedMicros() const {
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               Clock::now() - start_)
+  int64_t ElapsedMicros() const { return MicrosAt(Clock::now()); }
+
+  /// Microseconds from the origin to \p t (one clock read, many origins).
+  int64_t MicrosAt(std::chrono::steady_clock::time_point t) const {
+    return std::chrono::duration_cast<std::chrono::microseconds>(t - start_)
         .count();
   }
 

@@ -313,7 +313,7 @@ vs::Result<FeatureMatrix> FeatureMatrix::Build(
     }
   }
 
-  obs::ScopedSpan build_span("FeatureMatrix::Build");
+  obs::Span build_span("core.build");
   const BuildMetrics& metrics = BuildMetrics::Get();
   const bool observe = obs::MetricsRegistry::Default().enabled();
   Stopwatch build_clock;
@@ -384,7 +384,7 @@ vs::Result<FeatureMatrix> FeatureMatrix::Build(
   // returns.
   std::optional<data::GatheredMeasures> target_measures;
   if (options.use_kernels) {
-    obs::ScopedSpan gather_span("FeatureMatrix::Build.gather");
+    obs::Span gather_span("core.build.gather");
     std::vector<std::string> measures;
     for (const ViewSpec& view : imm->views) {
       if (std::find(measures.begin(), measures.end(), view.measure) ==
@@ -417,12 +417,12 @@ vs::Result<FeatureMatrix> FeatureMatrix::Build(
   Stopwatch groups_clock;
   std::vector<GroupResults> results;
   {
-    obs::ScopedSpan groups_span("FeatureMatrix::Build.groups");
+    obs::Span groups_span("core.build.groups");
     VS_RETURN_IF_ERROR(RunGroupPasses(executor, imm->views, groups, passes,
                                       options.pool, &results));
   }
   {
-    obs::ScopedSpan features_span("FeatureMatrix::Build.features");
+    obs::Span features_span("core.build.features");
     Stopwatch feature_clock;
     VS_RETURN_IF_ERROR(ComputeGroupFeatures(
         groups, &results, *registry,
@@ -520,7 +520,7 @@ vs::Status FeatureMatrix::RefineRows(
   DetachStateIfShared();
   State& state = *state_;
 
-  obs::ScopedSpan refine_span("FeatureMatrix::RefineRows");
+  obs::Span refine_span("core.refine_rows");
   data::GroupByExecutorOptions executor_options;
   executor_options.use_kernel = use_kernels_;
   data::GroupByExecutor executor(table_, executor_options);

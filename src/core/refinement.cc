@@ -92,7 +92,7 @@ double Utilization(double seconds_before, int64_t units_before,
 
 vs::Result<RefinementStats> IncrementalRefiner::FinishBatch(
     const std::vector<size_t>& order, int rows_pruned, Deadline* deadline) {
-  obs::ScopedSpan span("IncrementalRefiner::RefineBatch");
+  obs::Span span("core.refine");
   const RefinerMetrics& metrics = RefinerMetrics::Get();
   Stopwatch clock;
   const double seconds_before = deadline->RemainingSeconds();

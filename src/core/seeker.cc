@@ -103,7 +103,7 @@ vs::Result<std::vector<size_t>> ViewSeeker::NextQueries() {
   if (unlabeled_.empty()) {
     return vs::Status::FailedPrecondition("every view is already labeled");
   }
-  obs::ScopedSpan span("ViewSeeker::NextQueries");
+  obs::Span span("core.seeker.next");
   const SeekerMetrics& metrics = SeekerMetrics::Get();
   Stopwatch clock;
   ++iteration_;
@@ -165,7 +165,7 @@ vs::Status ViewSeeker::SubmitLabel(size_t view_index, double label) {
   if (it == unlabeled_.end()) {
     return vs::Status::AlreadyExists("view already labeled");
   }
-  obs::ScopedSpan span("ViewSeeker::SubmitLabel");
+  obs::Span span("core.seeker.label");
   const SeekerMetrics& metrics = SeekerMetrics::Get();
   Stopwatch clock;
   unlabeled_.erase(it);
@@ -226,7 +226,7 @@ vs::Status ViewSeeker::SubmitLabel(size_t view_index, double label) {
 }
 
 vs::Result<std::vector<size_t>> ViewSeeker::RecommendTopK() const {
-  obs::ScopedSpan span("ViewSeeker::RecommendTopK");
+  obs::Span span("core.seeker.topk");
   VS_ASSIGN_OR_RETURN(std::vector<double> scores, CurrentScores());
   std::vector<size_t> topk =
       TopKIndices(scores, static_cast<size_t>(options_.k));

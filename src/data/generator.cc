@@ -63,12 +63,12 @@ vs::Result<Table> GenerateSynthetic(const SyntheticOptions& options) {
   std::vector<Field> fields;
   std::vector<ColumnPtr> columns;
   for (int i = 0; i < A; ++i) {
-    fields.emplace_back("d" + std::to_string(i), DataType::kDouble,
+    fields.emplace_back(vs::StrFormat("d%d", i), DataType::kDouble,
                         FieldRole::kDimension);
     columns.push_back(std::make_shared<DoubleColumn>(std::move(dims[i])));
   }
   for (int j = 0; j < M; ++j) {
-    fields.emplace_back("m" + std::to_string(j), DataType::kDouble,
+    fields.emplace_back(vs::StrFormat("m%d", j), DataType::kDouble,
                         FieldRole::kMeasure);
     columns.push_back(
         std::make_shared<DoubleColumn>(std::move(measures[j])));
@@ -299,15 +299,15 @@ class LargeScaleCore {
   vs::Result<Schema> MakeSchema() const {
     std::vector<Field> fields;
     for (size_t d = 0; d < num_categorical(); ++d) {
-      fields.emplace_back("g" + std::to_string(d), DataType::kString,
+      fields.emplace_back(vs::StrFormat("g%zu", d), DataType::kString,
                           FieldRole::kDimension);
     }
     for (size_t d = 0; d < num_numeric(); ++d) {
-      fields.emplace_back("d" + std::to_string(d), DataType::kDouble,
+      fields.emplace_back(vs::StrFormat("d%zu", d), DataType::kDouble,
                           FieldRole::kDimension);
     }
     for (size_t m = 0; m < num_measures(); ++m) {
-      fields.emplace_back("m" + std::to_string(m), DataType::kDouble,
+      fields.emplace_back(vs::StrFormat("m%zu", m), DataType::kDouble,
                           FieldRole::kMeasure);
     }
     return Schema::Make(std::move(fields));
@@ -414,7 +414,7 @@ vs::Result<Table> GenerateLargeScale(const LargeScaleOptions& options) {
     for (uint64_t r = 0; r < rows; ++r) {
       col->AppendCode(core.CatCode(d, r));
     }
-    fields.emplace_back("g" + std::to_string(d), DataType::kString,
+    fields.emplace_back(vs::StrFormat("g%zu", d), DataType::kString,
                         FieldRole::kDimension);
     columns.push_back(std::move(col));
   }
@@ -423,7 +423,7 @@ vs::Result<Table> GenerateLargeScale(const LargeScaleOptions& options) {
     for (uint64_t r = 0; r < rows; ++r) {
       values[r] = core.NumericValue(d, r);
     }
-    fields.emplace_back("d" + std::to_string(d), DataType::kDouble,
+    fields.emplace_back(vs::StrFormat("d%zu", d), DataType::kDouble,
                         FieldRole::kDimension);
     columns.push_back(std::make_shared<DoubleColumn>(std::move(values)));
   }
@@ -432,7 +432,7 @@ vs::Result<Table> GenerateLargeScale(const LargeScaleOptions& options) {
     for (uint64_t r = 0; r < rows; ++r) {
       values[r] = core.MeasureValue(m, r);
     }
-    fields.emplace_back("m" + std::to_string(m), DataType::kDouble,
+    fields.emplace_back(vs::StrFormat("m%zu", m), DataType::kDouble,
                         FieldRole::kMeasure);
     columns.push_back(std::make_shared<DoubleColumn>(std::move(values)));
   }
@@ -496,7 +496,7 @@ vs::Result<uint64_t> LargeScaleFileBytes(const LargeScaleOptions& options) {
   uint64_t bytes = 4 + 4 + 8 + 4;
   const uint64_t rows = options.num_rows;
   for (size_t d = 0; d < core.num_categorical(); ++d) {
-    const std::string name = "g" + std::to_string(d);
+    const std::string name = vs::StrFormat("g%zu", d);
     bytes += 4 + name.size() + 3;  // name + type + role + has_nulls
     bytes += 4;                    // dictionary size
     for (const std::string& label : core.Dictionary(d)) {
@@ -505,11 +505,11 @@ vs::Result<uint64_t> LargeScaleFileBytes(const LargeScaleOptions& options) {
     bytes += rows * sizeof(int32_t);
   }
   for (size_t d = 0; d < core.num_numeric(); ++d) {
-    bytes += 4 + ("d" + std::to_string(d)).size() + 3;
+    bytes += 4 + vs::StrFormat("d%zu", d).size() + 3;
     bytes += rows * sizeof(double);
   }
   for (size_t m = 0; m < core.num_measures(); ++m) {
-    bytes += 4 + ("m" + std::to_string(m)).size() + 3;
+    bytes += 4 + vs::StrFormat("m%zu", m).size() + 3;
     bytes += rows * sizeof(double);
   }
   return bytes;

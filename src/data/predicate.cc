@@ -471,7 +471,7 @@ class AndPredicate final : public Predicate {
     std::vector<std::string> parts;
     parts.reserve(children_.size());
     for (const auto& c : children_) parts.push_back(c->ToString());
-    return "(" + vs::Join(parts, " AND ") + ")";
+    return vs::StrFormat("(%s)", vs::Join(parts, " AND ").c_str());
   }
 
  private:
@@ -494,7 +494,7 @@ class OrPredicate final : public Predicate {
     std::vector<std::string> parts;
     parts.reserve(children_.size());
     for (const auto& c : children_) parts.push_back(c->ToString());
-    return "(" + vs::Join(parts, " OR ") + ")";
+    return vs::StrFormat("(%s)", vs::Join(parts, " OR ").c_str());
   }
 
  private:

@@ -2,34 +2,12 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
-
-#include "obs/metrics.h"
 
 namespace vs::obs {
 
 namespace {
 
 thread_local RequestContext* t_current_context = nullptr;
-
-/// Stage-name → histogram handle, keyed by the literal's address (the
-/// StageTimer contract).  Amortized: each distinct stage registers once;
-/// later lookups are one small map probe under a short-lived lock.
-Histogram* StageHistogram(const char* stage) {
-  static std::mutex mu;
-  static std::map<const void*, Histogram*>* handles =
-      new std::map<const void*, Histogram*>();
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = handles->find(stage);
-    if (it != handles->end()) return it->second;
-  }
-  Histogram* histogram = MetricsRegistry::Default().GetHistogram(
-      std::string("serve.stage_seconds.") + stage, DefaultLatencyBuckets(),
-      "per-request stage latency (inclusive)");
-  std::lock_guard<std::mutex> lock(mu);
-  return handles->emplace(stage, histogram).first->second;
-}
 
 }  // namespace
 
@@ -78,22 +56,6 @@ ScopedRequestContext::~ScopedRequestContext() {
   t_current_context = previous_;
 }
 
-StageTimer::StageTimer(const char* stage)
-    : context_(t_current_context), stage_(stage), parent_stage_(nullptr) {
-  if (context_ == nullptr) return;
-  parent_stage_ = context_->current_stage();
-  context_->set_current_stage(stage_);
-  start_us_ = context_->ElapsedMicros();
-}
-
-StageTimer::~StageTimer() {
-  if (context_ == nullptr) return;
-  const int64_t duration_us = context_->ElapsedMicros() - start_us_;
-  context_->set_current_stage(parent_stage_);
-  context_->AddStage(stage_, start_us_, duration_us);
-  StageHistogram(stage_)->Observe(static_cast<double>(duration_us) * 1e-6);
-}
-
 void InflightRegistry::Register(
     const std::shared_ptr<RequestContext>& context) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -118,7 +80,7 @@ std::vector<InflightRequest> InflightRegistry::Snapshot() const {
     InflightRequest row;
     row.id = c->id();
     row.endpoint = c->endpoint();
-    if (row.endpoint.empty()) row.endpoint = "-";
+    if (row.endpoint.empty()) row.endpoint.push_back('-');
     row.method = c->method();
     row.path = c->path();
     row.age_seconds = static_cast<double>(c->ElapsedMicros()) * 1e-6;

@@ -10,17 +10,12 @@
 /// Propagation model: the serving layer creates a RequestContext per
 /// request (generating an id or accepting the client's `X-Request-Id`),
 /// installs it in a thread-local slot with ScopedRequestContext, and
-/// handles the request synchronously on that worker thread.  Instrumented
-/// code anywhere below (SessionManager, FeatureMatrixCache, durability)
-/// opens a StageTimer("session_manager.label"); on destruction the timer
-/// appends a StageRecord to the current context — or does nothing at all
-/// when no context is installed.
-///
-/// Cost discipline (matches metrics.h / trace.h): with no context
-/// installed a StageTimer costs one thread-local load at construction and
-/// one branch at destruction — no clock reads, no allocation.  Stage
-/// records are only taken on request-serving threads; background threads
-/// (the TTL reaper, the trace ring) have no context and pay nothing.
+/// handles the request synchronously on that worker thread.  Every
+/// obs::Span (trace.h) opened below on that thread, in SessionManager,
+/// FeatureMatrixCache, durability or the engine, is then a stage of the
+/// request: the span appends a StageRecord to the context on exit.  Spans
+/// opened on threads with no context installed (the TTL reaper, offline
+/// runs, benches) record no stage and read no clock for one.
 ///
 /// Cross-thread reads: the in-flight table (/statusz) snapshots live
 /// contexts from other threads.  RequestContext therefore guards its
@@ -28,15 +23,11 @@
 /// atomic pointer to a string literal, so a stalled request can be seen
 /// mid-stage.
 ///
-/// Stage taxonomy (docs/ARCHITECTURE.md "Request lifecycle &
-/// observability"): dot-separated, subsystem-prefixed —
-///   http.dispatch, session_manager.{create,label,next,topk,restore,
-///   evict}, fmcache.{lookup,build,wait}, durability.{wal_append,
-///   snapshot}.
-/// Stage spans nest (a label span contains its wal append); records keep
-/// inclusive durations and emission order.
+/// Stages nest (a label contains its WAL append, a create its
+/// `core.build`); records keep inclusive durations and completion order.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -49,7 +40,7 @@ namespace vs::obs {
 
 /// \brief One completed stage within a request (inclusive duration).
 struct StageRecord {
-  const char* stage = nullptr;  ///< static string (StageTimer contract)
+  const char* stage = nullptr;  ///< the Span name (a string literal)
   int64_t start_us = 0;         ///< since the request began
   int64_t duration_us = 0;
 };
@@ -72,6 +63,10 @@ class RequestContext {
 
   /// Microseconds since construction (the request's private epoch).
   int64_t ElapsedMicros() const { return epoch_.ElapsedMicros(); }
+  /// Microseconds from construction to \p t.
+  int64_t MicrosAt(std::chrono::steady_clock::time_point t) const {
+    return epoch_.MicrosAt(t);
+  }
 
   /// \name Request deadline — an absolute point relative to the request's
   /// private epoch, set once by the transport when the client supplied
@@ -94,13 +89,13 @@ class RequestContext {
   }
   /// @}
 
-  /// Appends one completed stage (called by StageTimer).
+  /// Appends one completed stage (called by Span).
   void AddStage(const char* stage, int64_t start_us, int64_t duration_us);
 
   /// Stage records so far, in completion order.
   std::vector<StageRecord> stages() const;
 
-  /// \name Current stage — written by StageTimer on the serving thread,
+  /// \name Current stage — written by Span on the serving thread,
   /// read by /statusz from any thread.  nullptr = between stages.
   /// @{
   const char* current_stage() const {
@@ -139,27 +134,6 @@ class ScopedRequestContext {
 
  private:
   RequestContext* previous_;
-};
-
-/// \brief RAII stage span: on destruction, records (stage, start,
-/// duration) into the current request context and observes the stage's
-/// process-wide `serve.stage_seconds.<stage>` histogram.  \p stage must
-/// be a string literal (stored by pointer, used as a registry key).
-///
-/// Inert (no clock read, no allocation) when no context is installed.
-class StageTimer {
- public:
-  explicit StageTimer(const char* stage);
-  ~StageTimer();
-
-  StageTimer(const StageTimer&) = delete;
-  StageTimer& operator=(const StageTimer&) = delete;
-
- private:
-  RequestContext* context_;       ///< nullptr = inert
-  const char* stage_;
-  const char* parent_stage_;      ///< restored on destruction
-  int64_t start_us_ = 0;
 };
 
 /// \brief One row of the in-flight request table (/statusz).

@@ -1,9 +1,10 @@
 #include "obs/trace.h"
 
-#include <thread>
+#include <map>
 
-#include "obs/metrics.h"  // JsonEscape
 #include "common/string_util.h"
+#include "obs/metrics.h"
+#include "obs/request_context.h"
 
 namespace vs::obs {
 
@@ -15,6 +16,25 @@ namespace {
 thread_local uint64_t tl_current_span = 0;
 
 std::atomic<uint32_t> g_next_thread_id{0};
+
+/// Stage-name → histogram handle, keyed by the literal's address (the
+/// Span contract).  Amortized: each distinct stage registers once; later
+/// lookups are one small map probe under a short-lived lock.
+Histogram* StageHistogram(const char* stage) {
+  static std::mutex mu;
+  static std::map<const void*, Histogram*>* handles =
+      new std::map<const void*, Histogram*>();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    auto it = handles->find(stage);
+    if (it != handles->end()) return it->second;
+  }
+  Histogram* histogram = MetricsRegistry::Default().GetHistogram(
+      std::string("serve.stage_seconds.") + stage, DefaultLatencyBuckets(),
+      "per-request stage latency (inclusive)");
+  std::lock_guard<std::mutex> lock(mu);
+  return handles->emplace(stage, histogram).first->second;
+}
 
 }  // namespace
 
@@ -28,7 +48,11 @@ TraceCollector::TraceCollector(size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
 TraceCollector& TraceCollector::Default() {
-  static TraceCollector* collector = new TraceCollector();
+  static TraceCollector* collector = [] {
+    auto* c = new TraceCollector();
+    c->set_enabled(false);
+    return c;
+  }();
   return *collector;
 }
 
@@ -83,26 +107,41 @@ std::string TraceCollector::ToChromeTraceJson() const {
   return out;
 }
 
-ScopedSpan::ScopedSpan(const char* name, TraceCollector* collector)
-    : name_(name), collector_(collector) {
-  if (collector_ == nullptr || !collector_->enabled()) return;
-  id_ = collector_->NextSpanId();
-  parent_ = tl_current_span;
-  tl_current_span = id_;
-  start_us_ = collector_->NowMicros();
+Span::Span(const char* name, TraceCollector* collector)
+    : name_(name),
+      collector_(collector != nullptr && collector->enabled() ? collector
+                                                              : nullptr),
+      context_(CurrentRequestContext()) {
+  if (collector_ == nullptr && context_ == nullptr) return;
+  if (collector_ != nullptr) {
+    id_ = collector_->NextSpanId();
+    parent_ = tl_current_span;
+    tl_current_span = id_;
+  }
+  if (context_ != nullptr) {
+    parent_stage_ = context_->current_stage();
+    context_->set_current_stage(name_);
+  }
+  start_ = std::chrono::steady_clock::now();
 }
 
-ScopedSpan::~ScopedSpan() {
-  if (id_ == 0) return;
-  TraceEvent event;
-  event.name = name_;
-  event.start_us = start_us_;
-  event.duration_us = collector_->NowMicros() - start_us_;
-  event.thread_id = CurrentThreadId();
-  event.id = id_;
-  event.parent_id = parent_;
-  tl_current_span = parent_;
-  collector_->Record(std::move(event));
+Span::~Span() {
+  if (collector_ == nullptr && context_ == nullptr) return;
+  const auto end = std::chrono::steady_clock::now();
+  const int64_t duration_us =
+      std::chrono::duration_cast<std::chrono::microseconds>(end - start_)
+          .count();
+  if (context_ != nullptr) {
+    context_->set_current_stage(parent_stage_);
+    context_->AddStage(name_, context_->MicrosAt(start_), duration_us);
+    StageHistogram(name_)->Observe(static_cast<double>(duration_us) * 1e-6);
+  }
+  if (collector_ != nullptr) {
+    tl_current_span = parent_;
+    collector_->Record(TraceEvent{name_, collector_->MicrosAt(start_),
+                                  duration_us, CurrentThreadId(), id_,
+                                  parent_});
+  }
 }
 
 }  // namespace vs::obs

@@ -2,19 +2,27 @@
 #define VS_OBS_TRACE_H_
 
 /// \file trace.h
-/// \brief RAII trace spans over a bounded ring buffer, exportable as a
-/// Chrome trace (open chrome://tracing or https://ui.perfetto.dev and load
-/// the JSON dump).
+/// \brief obs::Span, the one RAII timer of the engine and the serving
+/// layer, and the bounded ring it traces into, exportable as a Chrome
+/// trace (load the JSON dump in chrome://tracing or ui.perfetto.dev).
 ///
-/// A ScopedSpan measures one named region with Stopwatch; on destruction it
-/// records (name, start, duration, thread, parent) into a TraceCollector.
-/// Parenthood is tracked per thread: spans nested on the same thread link
-/// to the innermost live span.  When the ring buffer is full the oldest
-/// events are overwritten and counted as dropped — tracing is bounded
-/// memory by construction.  A disabled collector makes ScopedSpan cost one
-/// relaxed atomic load and nothing else (no clock reads).
+/// A Span times its scope for each sink that is live at entry:
+///  - an enabled TraceCollector: on exit it records (name, start,
+///    duration, thread, parent), parented to the innermost live span on
+///    the same thread.  A full ring overwrites (and counts) its oldest
+///    events, so tracing is bounded memory.
+///  - the thread's RequestContext (request_context.h): the span is the
+///    request's current stage while open; on exit it appends a
+///    StageRecord and observes `serve.stage_seconds.<name>`.
+/// The clock is read once at entry and once at exit, and only for a live
+/// sink; with neither, a span costs one relaxed load and one thread-local
+/// load.  Names follow one dot-separated taxonomy (docs/ARCHITECTURE.md
+/// "Request lifecycle & observability").  A scope opens at most one span,
+/// and no pool task opens one: the caller runs chunks too, so the count
+/// would depend on scheduling.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -43,7 +51,8 @@ class TraceCollector {
   TraceCollector(const TraceCollector&) = delete;
   TraceCollector& operator=(const TraceCollector&) = delete;
 
-  /// The process-wide collector the engine's built-in spans record into.
+  /// The process-wide collector the built-in spans record into.  Unlike a
+  /// constructed collector it starts disabled.
   static TraceCollector& Default();
 
   void set_enabled(bool enabled) {
@@ -51,11 +60,13 @@ class TraceCollector {
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Appends one completed event (called by ScopedSpan).
+  /// Appends one completed event (called by Span).
   void Record(TraceEvent event);
 
-  /// Microseconds since the collector's epoch (its construction).
-  int64_t NowMicros() const { return epoch_.ElapsedMicros(); }
+  /// Microseconds from the collector's epoch (its construction) to \p t.
+  int64_t MicrosAt(std::chrono::steady_clock::time_point t) const {
+    return epoch_.MicrosAt(t);
+  }
 
   /// Next span id (unique, 1-based).
   uint64_t NextSpanId() {
@@ -90,26 +101,33 @@ class TraceCollector {
   size_t head_ = 0;               ///< insertion slot once wrapped
 };
 
-/// \brief RAII span: times the enclosing scope and records it on exit.
+class RequestContext;
+
+/// \brief RAII span: times the enclosing scope and, on exit, records it
+/// into each live sink (see the file comment).
 ///
-/// \p name must outlive the span (string literals in practice).
-class ScopedSpan {
+/// \p name must outlive the span and have a stable address (string
+/// literals in practice): it is the current-stage pointer and the stage
+/// histogram key.
+class Span {
  public:
-  explicit ScopedSpan(const char* name,
-                      TraceCollector* collector = &TraceCollector::Default());
-  ~ScopedSpan();
+  explicit Span(const char* name,
+                TraceCollector* collector = &TraceCollector::Default());
+  ~Span();
 
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
 
-  /// Id of this span (0 when the collector was disabled at entry).
+  /// Trace id of this span (0 when the collector was disabled at entry).
   uint64_t id() const { return id_; }
 
  private:
   const char* name_;
-  TraceCollector* collector_;
-  int64_t start_us_ = 0;
-  uint64_t id_ = 0;      ///< 0 = inactive (collector disabled at entry)
+  TraceCollector* collector_;   ///< nullptr = not tracing
+  RequestContext* context_;     ///< nullptr = no request stage
+  const char* parent_stage_ = nullptr;  ///< restored on exit
+  std::chrono::steady_clock::time_point start_;
+  uint64_t id_ = 0;
   uint64_t parent_ = 0;
 };
 

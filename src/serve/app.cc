@@ -226,7 +226,7 @@ void ServeApp::AddRoute(const char* method, const char* pattern,
           // Charged to the "queue" stage: this is where an overloaded
           // request dies, and the stage shows up in /statusz, wide
           // events and X-Request-Stages.
-          obs::StageTimer queue_stage("queue");
+          obs::Span queue_stage("queue");
           if (!admission_.Acquire(name, admission_class).admitted) {
             HttpResponse shed = ErrorResponseFor(
                 vs::Status::ResourceExhausted(
@@ -260,7 +260,7 @@ void ServeApp::AddRoute(const char* method, const char* pattern,
             {
               // The simulated-core gate is the process's one real queue;
               // charge the wait to the same "queue" stage.
-              obs::StageTimer queue_stage("queue");
+              obs::Span queue_stage("queue");
               sim_cv_.wait(lock, [this] {
                 return sim_in_service_ < options_.simulate_cores;
               });
@@ -372,7 +372,6 @@ ServeApp::ServeApp(SessionManager* manager, ServeAppOptions options)
 }
 
 HttpResponse ServeApp::Handle(const HttpRequest& request) {
-  obs::ScopedSpan span("serve.request");
   const uint64_t seq =
       request_sequence_.fetch_add(1, std::memory_order_relaxed) + 1;
 
@@ -401,7 +400,7 @@ HttpResponse ServeApp::Handle(const HttpRequest& request) {
   HttpResponse response;
   {
     obs::ScopedRequestContext scoped(context.get());
-    obs::StageTimer dispatch_stage("http.dispatch");
+    obs::Span dispatch_span("http.dispatch");
     response = router_.Dispatch(request, &endpoint);
   }
   if (endpoint.empty()) endpoint = "unmatched";

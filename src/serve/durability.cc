@@ -14,7 +14,7 @@
 #include "common/crc32.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
-#include "obs/request_context.h"
+#include "obs/trace.h"
 #include "testing/fault_injection.h"
 
 namespace vs::serve {
@@ -334,7 +334,7 @@ void WalWriter::Rollback() {
 }
 
 vs::Status WalWriter::Append(std::string_view payload) {
-  obs::StageTimer stage("durability.wal_append");
+  obs::Span span("durability.wal_append");
   if (fd_ < 0) return vs::Status::FailedPrecondition("journal not open");
   if (broken_) {
     return vs::Status::IOError(
@@ -451,7 +451,7 @@ std::string DurabilityManager::WalPath(const std::string& id) const {
 
 vs::Status DurabilityManager::SaveSnapshot(const std::string& id,
                                            std::string_view content) {
-  obs::StageTimer stage("durability.snapshot");
+  obs::Span span("durability.snapshot");
   const vs::Status status =
       WriteFileAtomic(options_.dir, id + ".snap", content, options_.fsync);
   if (!status.ok()) {

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "obs/request_context.h"
 #include "obs/trace.h"
 #include "testing/fault_injection.h"
 
@@ -56,7 +55,7 @@ FeatureMatrixCache::GetOrBuild(const std::string& key,
                                const Builder& builder) {
   // The lookup stage covers the whole call (hit = lookup only); build and
   // single-flight waits open nested stages of their own below.
-  obs::StageTimer lookup_stage("fmcache.lookup");
+  obs::Span lookup_span("fmcache.lookup");
   const CacheMetrics& m = CacheMetrics::Get();
   if (!enabled()) {
     // Caching off: every lookup is a miss that builds and retains nothing
@@ -102,7 +101,7 @@ FeatureMatrixCache::GetOrBuild(const std::string& key,
     }
 
     if (!leader) {
-      obs::StageTimer wait_stage("fmcache.wait");
+      obs::Span wait_span("fmcache.wait");
       std::unique_lock<std::mutex> flight_lock(flight->mu);
       flight->cv.wait(flight_lock, [&flight] { return flight->done; });
       if (flight->status.ok()) return flight->matrix;
@@ -114,8 +113,7 @@ FeatureMatrixCache::GetOrBuild(const std::string& key,
 
     // Leader: build outside every lock (matrix builds are the expensive
     // offline-initialization work this cache exists to deduplicate).
-    obs::ScopedSpan span("fmcache.build");
-    obs::StageTimer build_stage("fmcache.build");
+    obs::Span build_span("fmcache.build");
     vs::Status status = vs::Status::OK();
     std::shared_ptr<const core::FeatureMatrix> built;
     if (VS_FAULT("fmcache.build_fail")) {

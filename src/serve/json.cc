@@ -318,7 +318,10 @@ vs::Result<double> JsonValue::RequiredNumber(std::string_view key) const {
 }
 
 std::string JsonQuote(std::string_view s) {
-  return "\"" + obs::JsonEscape(s) + "\"";
+  std::string out = "\"";
+  out += obs::JsonEscape(s);
+  out += '"';
+  return out;
 }
 
 namespace {

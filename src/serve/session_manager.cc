@@ -14,7 +14,6 @@
 #include "data/predicate.h"
 #include "data/query.h"
 #include "obs/metrics.h"
-#include "obs/request_context.h"
 #include "obs/trace.h"
 
 namespace vs::serve {
@@ -215,7 +214,7 @@ vs::Result<std::shared_ptr<const LoadedTable>> SessionManager::GetOrLoadTable(
   }
   // Load outside the registry lock; a concurrent duplicate load is
   // harmless (first insertion wins, the loser's copy is dropped).
-  obs::ScopedSpan span("serve.table_load");
+  obs::Span span("session_manager.table_load");
   VS_ASSIGN_OR_RETURN(data::Table table, LoadTableFile(path));
   auto loaded = std::make_shared<LoadedTable>();
   VS_ASSIGN_OR_RETURN(
@@ -305,8 +304,7 @@ SessionInfo SessionManager::InfoLocked(Session& session) const {
 }
 
 vs::Result<SessionInfo> SessionManager::Create(const CreateSpec& spec) {
-  obs::ScopedSpan span("serve.session_create");
-  obs::StageTimer stage("session_manager.create");
+  obs::Span span("session_manager.create");
   Stopwatch watch;
   const SessionMetrics& m = SessionMetrics::Get();
   const std::string path =
@@ -425,8 +423,7 @@ vs::Result<SessionManager::LockedSession> SessionManager::AcquireLocked(
 
 vs::Result<std::shared_ptr<SessionManager::Session>> SessionManager::Restore(
     const std::string& id) {
-  obs::ScopedSpan span("serve.session_restore");
-  obs::StageTimer stage("session_manager.restore");
+  obs::Span span("session_manager.restore");
   // A failure that can clear on its own — a read error, an injected
   // fault, a build that ran out of resources — fails this one lookup and
   // leaves the id evicted, so the next lookup retries.  That includes an
@@ -590,7 +587,7 @@ DurabilityStats SessionManager::durability_stats() const {
 }
 
 vs::Result<NextBatch> SessionManager::Next(const std::string& id) {
-  obs::StageTimer stage("session_manager.next");
+  obs::Span span("session_manager.next");
   VS_ASSIGN_OR_RETURN(LockedSession locked, AcquireLocked(id));
   const std::shared_ptr<Session>& session = locked.session;
   VS_ASSIGN_OR_RETURN(std::vector<size_t> views,
@@ -606,7 +603,7 @@ vs::Result<NextBatch> SessionManager::Next(const std::string& id) {
 
 vs::Result<size_t> SessionManager::Label(const std::string& id, size_t view,
                                          double label) {
-  obs::StageTimer stage("session_manager.label");
+  obs::Span span("session_manager.label");
   VS_ASSIGN_OR_RETURN(LockedSession locked, AcquireLocked(id));
   const std::shared_ptr<Session>& session = locked.session;
   VS_RETURN_IF_ERROR(session->seeker->SubmitLabel(view, label));
@@ -637,7 +634,7 @@ vs::Result<size_t> SessionManager::Label(const std::string& id, size_t view,
 
 vs::Result<TopKResult> SessionManager::TopK(const std::string& id,
                                             double lambda) {
-  obs::StageTimer stage("session_manager.topk");
+  obs::Span span("session_manager.topk");
   VS_ASSIGN_OR_RETURN(LockedSession locked, AcquireLocked(id));
   const std::shared_ptr<Session>& session = locked.session;
   vs::Result<std::vector<size_t>> topk =
@@ -682,7 +679,7 @@ vs::Result<LabeledViews> SessionManager::Labels(const std::string& id) {
 }
 
 vs::Result<std::string> SessionManager::ExportSession(const std::string& id) {
-  obs::StageTimer stage("session_manager.export");
+  obs::Span span("session_manager.export");
   VS_ASSIGN_OR_RETURN(LockedSession locked, AcquireLocked(id));
   const std::shared_ptr<Session>& session = locked.session;
   VS_ASSIGN_OR_RETURN(std::string envelope, EnvelopeLocked(*session));
@@ -700,7 +697,7 @@ vs::Result<std::string> SessionManager::ExportSession(const std::string& id) {
 
 vs::Result<SessionInfo> SessionManager::ImportSession(
     const std::string& id, const std::string& envelope) {
-  obs::StageTimer stage("session_manager.import");
+  obs::Span span("session_manager.import");
   const SessionMetrics& m = SessionMetrics::Get();
   if (!ValidSessionId(id)) {
     return vs::Status::InvalidArgument("invalid session id: " + id);
@@ -775,7 +772,7 @@ vs::Status SessionManager::Delete(const std::string& id) {
 size_t SessionManager::EvictIdleOlderThan(double idle_seconds) {
   // A no-op on the reaper thread (no request context); records when a
   // request-path caller (tests, admin endpoints) drives eviction.
-  obs::StageTimer stage("session_manager.evict");
+  obs::Span span("session_manager.evict");
   const int64_t cutoff =
       NowMicros() - static_cast<int64_t>(idle_seconds * 1e6);
   const SessionMetrics& m = SessionMetrics::Get();

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "core/utility_features.h"
 #include "core/view_data.h"
 #include "data/groupby.h"
@@ -111,7 +112,8 @@ TEST(FeatureKernelsTest, RegistryComputeAllMatchesScalarOnRandomViews) {
     data::TableBuilder b(schema);
     for (size_t r = 0; r < rows; ++r) {
       ASSERT_TRUE(
-          b.AppendRow({data::Value("L" + std::to_string(rng.NextBounded(9))),
+          b.AppendRow({data::Value(StrFormat(
+                       "L%d", static_cast<int>(rng.NextBounded(9)))),
                        data::Value(rng.NextDouble() * 50.0),
                        data::Value(rng.NextGaussian() * 4.0 + 1.0)})
               .ok());
@@ -169,7 +171,8 @@ TEST(FeatureKernelsTest, CustomFeatureUnaffectedByKernelToggle) {
   Rng rng(5);
   for (int r = 0; r < 60; ++r) {
     ASSERT_TRUE(
-        b.AppendRow({data::Value("L" + std::to_string(rng.NextBounded(4))),
+        b.AppendRow({data::Value(StrFormat(
+                       "L%d", static_cast<int>(rng.NextBounded(4)))),
                      data::Value(rng.NextDouble())})
             .ok());
   }
@@ -231,7 +234,8 @@ TEST(FeatureKernelsTest, ComputeBuiltinFeaturesMatchesRegistry) {
   Rng rng(11);
   for (int r = 0; r < 120; ++r) {
     ASSERT_TRUE(
-        b.AppendRow({data::Value("L" + std::to_string(rng.NextBounded(6))),
+        b.AppendRow({data::Value(StrFormat(
+                       "L%d", static_cast<int>(rng.NextBounded(6)))),
                      data::Value(rng.NextGaussian() + 3.0)})
             .ok());
   }

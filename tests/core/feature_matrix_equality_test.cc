@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "common/threadpool.h"
 #include "core/feature_matrix.h"
 #include "core/view_data.h"
@@ -46,7 +47,8 @@ data::Table NullMeasureTable() {
     const bool m2_null = rng.NextBernoulli(0.1);
     EXPECT_TRUE(
         b.AppendRow(
-             {data::Value("L" + std::to_string(label)), data::Value(x),
+             {data::Value(StrFormat("L%d", static_cast<int>(label))),
+              data::Value(x),
               m1_null ? data::Value()
                       : data::Value(rng.NextGaussian() + x * 0.3),
               m2_null ? data::Value()

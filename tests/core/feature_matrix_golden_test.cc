@@ -8,8 +8,8 @@
 /// committed in testdata/feature_matrix_golden.txt, with a per-feature
 /// tolerance.
 ///
-/// Regenerating after an *intentional* semantic change:
-///   VS_REGEN_GOLDEN=1 ./build/tests/vs_core_test \
+/// Regenerating after an *intentional* semantic change: run (one line)
+///   VS_REGEN_GOLDEN=1 ./build/tests/vs_core_test
 ///       --gtest_filter='FeatureMatrixGoldenTest.*'
 /// then review the diff and commit it (docs/TESTING.md).
 

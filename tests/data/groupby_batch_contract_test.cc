@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "common/threadpool.h"
 #include "data/groupby.h"
 #include "data/table.h"
@@ -30,7 +31,8 @@ Table MixedTable() {
   Rng rng(5);
   TableBuilder b(schema);
   for (int r = 0; r < 500; ++r) {
-    EXPECT_TRUE(b.AppendRow({Value("L" + std::to_string(rng.NextBounded(7))),
+    EXPECT_TRUE(b.AppendRow({Value(StrFormat(
+                                 "L%d", static_cast<int>(rng.NextBounded(7)))),
                              Value(rng.NextDouble() * 40.0),
                              Value(rng.NextInt64(0, 100)),
                              Value(rng.NextGaussian())})

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "common/threadpool.h"
 #include "data/groupby.h"
 #include "data/table.h"
@@ -68,7 +69,9 @@ RandomTable MakeRandomTable(Rng& rng, size_t max_rows) {
                    ? Value()
                    : Value(rng.NextGaussian() * 10.0);
     Value mi = Value(rng.NextInt64(-1000, 1000));
-    EXPECT_TRUE(b.AppendRow({c, x, i, md, mi}).ok());
+    EXPECT_TRUE(b.AppendRow({std::move(c), std::move(x), std::move(i),
+                             std::move(md), std::move(mi)})
+                    .ok());
   }
 
   RandomTable out{*b.Build(), {}};
@@ -217,7 +220,9 @@ TEST(GroupByKernelDifferentialTest, HighCardinalityDimensionBitIdentical) {
     Value md = rng.NextBernoulli(0.05) ? Value()
                                        : Value(rng.NextGaussian() * 1e3);
     ASSERT_TRUE(
-        b.AppendRow({c, md, Value(rng.NextInt64(-5000, 5000))}).ok());
+        b.AppendRow({std::move(c), std::move(md),
+                     Value(rng.NextInt64(-5000, 5000))})
+            .ok());
   }
   Table table = *b.Build();
   SelectionVector sel;
@@ -265,7 +270,7 @@ TEST(GroupByKernelDifferentialTest, LaneReplicatedLargeScanWithinTolerance) {
   for (size_t r = 0; r < kRows; ++r) {
     // Zipf-hot labels: the exact shape lane replication exists for.
     const uint64_t code = std::min<uint64_t>(31, rng.NextBounded(64) / 3);
-    ASSERT_TRUE(b.AppendRow({Value("L" + std::to_string(code)),
+    ASSERT_TRUE(b.AppendRow({Value(StrFormat("L%d", static_cast<int>(code))),
                              Value(rng.NextDouble() * 10.0),
                              Value(rng.NextGaussian())})
                     .ok());
@@ -486,7 +491,9 @@ Table MakeGatherTable(Rng& rng, size_t rows, uint64_t levels) {
     Value mi = rng.NextBernoulli(0.1) ? Value()
                                       : Value(rng.NextInt64(-9000, 9000));
     Value mc = Value(rng.NextGaussian());
-    EXPECT_TRUE(b.AppendRow({c, x, i, md, mi, mc}).ok());
+    EXPECT_TRUE(b.AppendRow({std::move(c), std::move(x), std::move(i),
+                             std::move(md), std::move(mi), std::move(mc)})
+                    .ok());
   }
   return *b.Build();
 }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "data/groupby.h"
 #include "data/table.h"
 #include "data/value.h"
@@ -196,7 +197,8 @@ TEST(KernelDiffFuzzTest, HighCardinalityDimensionWithNastyMeasures) {
     const uint64_t code = r < kLevels ? r : rng.NextBounded(kLevels);
     c.push_back(r >= kLevels && rng.NextBernoulli(0.05)
                     ? Value()
-                    : Value("L" + std::to_string(code)));
+                    : Value(StrFormat("L%llu",
+                                      static_cast<unsigned long long>(code))));
     switch (rng.NextBounded(8)) {
       case 0: m.emplace_back(); break;
       case 1: m.emplace_back(kNaN); break;
@@ -272,7 +274,7 @@ TEST(KernelDiffFuzzTest, MinMaxMatchOracleBitForBit) {
     std::vector<Value> m;
     for (size_t k = 0; k < runs.size(); ++k) {
       for (double v : runs[k]) {
-        c.emplace_back("K" + std::to_string(k));
+        c.emplace_back(StrFormat("K%zu", k));
         m.emplace_back(v);
       }
     }

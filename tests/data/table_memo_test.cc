@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "common/threadpool.h"
 #include "data/groupby.h"
 #include "data/table.h"
@@ -44,7 +45,7 @@ Table NullyTable(size_t rows, int cardinality, uint64_t seed) {
     const auto code = static_cast<int>(rng.NextBounded(
         static_cast<uint64_t>(cardinality)));
     EXPECT_TRUE(
-        b.AppendRow({maybe_null(Value("L" + std::to_string(code))),
+        b.AppendRow({maybe_null(Value(StrFormat("L%d", code))),
                      maybe_null(Value(rng.NextDouble() * 40.0 - 7.0)),
                      maybe_null(Value(rng.NextInt64(-20, 300))),
                      maybe_null(Value(rng.NextGaussian() * 1e3)),

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <memory>
 #include <thread>
 
@@ -10,13 +9,6 @@ namespace vs::obs {
 namespace {
 
 TEST(RequestContext, NoContextInstalledByDefault) {
-  EXPECT_EQ(CurrentRequestContext(), nullptr);
-}
-
-TEST(RequestContext, StageTimerIsInertWithoutContext) {
-  // The disabled-path contract: no context installed, no crash, nothing
-  // recorded anywhere a later context could see.
-  { StageTimer timer("session_manager.label"); }
   EXPECT_EQ(CurrentRequestContext(), nullptr);
 }
 
@@ -41,43 +33,6 @@ TEST(RequestContext, ContextIsThreadLocal) {
   ASSERT_EQ(CurrentRequestContext(), &context);
   std::thread other([] { EXPECT_EQ(CurrentRequestContext(), nullptr); });
   other.join();
-}
-
-TEST(RequestContext, StageTimerRecordsIntoCurrentContext) {
-  RequestContext context("id", "POST", "/sessions");
-  {
-    ScopedRequestContext scoped(&context);
-    StageTimer timer("http.dispatch");
-    EXPECT_STREQ(context.current_stage(), "http.dispatch");
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(context.current_stage(), nullptr);
-  const std::vector<StageRecord> stages = context.stages();
-  ASSERT_EQ(stages.size(), 1u);
-  EXPECT_STREQ(stages[0].stage, "http.dispatch");
-  EXPECT_GE(stages[0].start_us, 0);
-  EXPECT_GT(stages[0].duration_us, 0);
-}
-
-TEST(RequestContext, NestedStagesRestoreParentAndRecordBoth) {
-  RequestContext context("id", "POST", "/sessions/s/label");
-  {
-    ScopedRequestContext scoped(&context);
-    StageTimer outer("session_manager.label");
-    {
-      StageTimer inner("durability.wal_append");
-      EXPECT_STREQ(context.current_stage(), "durability.wal_append");
-    }
-    // The parent stage is current again once the nested span closes.
-    EXPECT_STREQ(context.current_stage(), "session_manager.label");
-  }
-  const std::vector<StageRecord> stages = context.stages();
-  ASSERT_EQ(stages.size(), 2u);
-  // Completion order: the inner span closes first.
-  EXPECT_STREQ(stages[0].stage, "durability.wal_append");
-  EXPECT_STREQ(stages[1].stage, "session_manager.label");
-  // The outer span's duration includes the inner one.
-  EXPECT_GE(stages[1].duration_us, stages[0].duration_us);
 }
 
 TEST(RequestContext, EndpointIsSettableAndReadable) {

@@ -4,6 +4,7 @@
 /// fault-injected stall — in the /statusz in-flight table.
 
 #include <chrono>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "data/generator.h"
 #include "data/io.h"
 #include "obs/events.h"
+#include "obs/trace.h"
 #include "serve/app.h"
 #include "serve/client.h"
 #include "serve/json.h"
@@ -169,6 +171,112 @@ TEST_F(ObservabilityTest, KnownRequestIdTraceableEndToEnd) {
         "stage_us.durability.wal_append", "stage_us.durability.snapshot"}) {
     EXPECT_NE(label_event.find(stage), std::string::npos)
         << stage << " missing in " << label_event;
+  }
+}
+
+/// Parses `stage=us;stage=us` (X-Request-Stages) into (stage, us) pairs in
+/// header order, which is first-completion order.
+std::vector<std::pair<std::string, int64_t>> ParseStages(
+    const std::string& header) {
+  std::vector<std::pair<std::string, int64_t>> out;
+  size_t pos = 0;
+  while (pos < header.size()) {
+    size_t end = header.find(';', pos);
+    if (end == std::string::npos) end = header.size();
+    const std::string item = header.substr(pos, end - pos);
+    const size_t eq = item.find('=');
+    if (eq != std::string::npos) {
+      out.emplace_back(item.substr(0, eq), std::stoll(item.substr(eq + 1)));
+    }
+    pos = end + 1;
+  }
+  return out;
+}
+
+TEST_F(ObservabilityTest, CreateBreakdownReachesIntoTheEngine) {
+  StartStack();
+  HttpClient client = Client();
+  auto created = client.Request("POST", "/sessions", "{\"k\":3}",
+                                {{"X-Request-Id", "engine-create-1"}});
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ASSERT_EQ(created->status, 201) << created->body;
+  const std::string* header = created->FindHeader("x-request-stages");
+  ASSERT_NE(header, nullptr);
+  const auto stages = ParseStages(*header);
+  std::map<std::string, size_t> position;
+  std::map<std::string, int64_t> micros;
+  for (size_t i = 0; i < stages.size(); ++i) {
+    position.emplace(stages[i].first, i);
+    micros[stages[i].first] += stages[i].second;
+  }
+  const std::vector<std::string> chain = {
+      "core.build", "fmcache.build", "fmcache.lookup",
+      "session_manager.create", "http.dispatch"};
+  const std::vector<std::string> phases = {
+      "core.build.gather", "core.build.groups", "core.build.features"};
+  for (const std::vector<std::string>* names : {&chain, &phases}) {
+    for (const std::string& name : *names) {
+      ASSERT_EQ(position.count(name), 1u) << name << " missing in " << *header;
+    }
+  }
+  // Nesting: an inner stage completes before, and lasts no longer than,
+  // the one containing it.
+  for (const std::string& phase : phases) {
+    EXPECT_LT(position[phase], position["core.build"]) << *header;
+    EXPECT_LE(micros[phase], micros["core.build"]) << *header;
+  }
+  for (size_t i = 0; i + 1 < chain.size(); ++i) {
+    EXPECT_LT(position[chain[i]], position[chain[i + 1]]) << *header;
+    EXPECT_LE(micros[chain[i]], micros[chain[i + 1]]) << *header;
+  }
+
+  const std::string event = WideEventFor("engine-create-1");
+  ASSERT_FALSE(event.empty());
+  for (const char* stage :
+       {"stage_us.http.dispatch", "stage_us.session_manager.create",
+        "stage_us.fmcache.lookup", "stage_us.fmcache.build",
+        "stage_us.core.build", "stage_us.core.build.gather",
+        "stage_us.core.build.groups", "stage_us.core.build.features"}) {
+    EXPECT_NE(event.find(stage), std::string::npos)
+        << stage << " missing in " << event;
+  }
+
+  auto metrics = client.Request("GET", "/metrics");
+  ASSERT_TRUE(metrics.ok());
+  ASSERT_EQ(metrics->status, 200);
+  for (const char* family :
+       {"serve_stage_seconds_core_build_count",
+        "serve_stage_seconds_core_build_gather_count",
+        "serve_stage_seconds_core_build_groups_count",
+        "serve_stage_seconds_core_build_features_count"}) {
+    EXPECT_NE(metrics->body.find(family), std::string::npos) << family;
+  }
+}
+
+TEST_F(ObservabilityTest, TracedCreateRecordsEachScopeOnce) {
+  StartStack();
+  // Engine spans record into the process ring; turn it on for this one
+  // request only.
+  obs::TraceCollector& ring = obs::TraceCollector::Default();
+  ring.Clear();
+  ring.set_enabled(true);
+  auto created = Client().Request("POST", "/sessions", "{\"k\":3}");
+  ring.set_enabled(false);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ASSERT_EQ(created->status, 201) << created->body;
+  std::map<std::string, int> count;
+  for (const obs::TraceEvent& event : ring.Snapshot()) ++count[event.name];
+  ring.Clear();
+  for (const char* name :
+       {"http.dispatch", "session_manager.create", "fmcache.lookup",
+        "fmcache.build", "core.build", "core.build.gather",
+        "core.build.groups", "core.build.features"}) {
+    EXPECT_EQ(count[name], 1) << name;
+  }
+  // One span per scope: no second name for the request or the create.
+  for (const char* name :
+       {"serve.request", "serve.session_create", "FeatureMatrix::Build"}) {
+    EXPECT_EQ(count.count(name), 0u) << name;
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "data/groupby.h"
 #include "data/table.h"
 #include "data/value.h"
@@ -193,7 +194,7 @@ TEST(FaultInjectionTest, KernelRunFaultSurfacesAsInternal) {
   });
   data::TableBuilder b(schema);
   for (int r = 0; r < 200; ++r) {
-    ASSERT_TRUE(b.AppendRow({data::Value("L" + std::to_string(r % 5)),
+    ASSERT_TRUE(b.AppendRow({data::Value(StrFormat("L%d", r % 5)),
                              data::Value(static_cast<double>(r))})
                     .ok());
   }

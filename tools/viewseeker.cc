@@ -369,13 +369,12 @@ int CmdSession(const Args& args) {
   args.WarnUnrecognized({"table", "filter", "bins", "ustar", "k", "strategy",
                          "max-labels", "alpha", "threads", "seed",
                          "metrics-out", "trace-out", "events-out"});
-  // vs::obs wiring: the three artifact flags opt into metrics, trace
-  // spans and the session event journal; instrumentation stays in its
-  // one-relaxed-load disabled state otherwise.
+  // vs::obs wiring: metrics are always collected and --metrics-out dumps
+  // them; --trace-out turns on the trace ring, which otherwise stays in
+  // its one-relaxed-load disabled state; --events-out journals the session.
   const std::string metrics_out = args.Get("metrics-out");
   const std::string trace_out = args.Get("trace-out");
   const std::string events_out = args.Get("events-out");
-  if (!metrics_out.empty()) obs::MetricsRegistry::Default().set_enabled(true);
   if (!trace_out.empty()) obs::TraceCollector::Default().set_enabled(true);
   std::unique_ptr<obs::JsonlFileSink> journal;
   if (!events_out.empty()) {
@@ -489,11 +488,6 @@ int CmdServe(const Args& args) {
     std::printf("%s\n", BuildInfoLine().c_str());
     return 0;
   }
-
-  // /metrics and per-request spans are the point of a server, so the obs
-  // subsystem is always on in serve mode (the trace ring is bounded).
-  obs::MetricsRegistry::Default().set_enabled(true);
-  obs::TraceCollector::Default().set_enabled(true);
 
   serve::SessionManagerOptions manager_options;
   manager_options.max_sessions =
@@ -671,9 +665,6 @@ int CmdRoute(const Args& args) {
     std::printf("%s\n", BuildInfoLine().c_str());
     return 0;
   }
-
-  obs::MetricsRegistry::Default().set_enabled(true);
-  obs::TraceCollector::Default().set_enabled(true);
 
   cluster::ClusterRouterOptions options;
   const std::vector<std::string> entries = SplitCommaList(args.Get("shards"));
