@@ -21,7 +21,10 @@
 ///       a pool of ThreadPool::DefaultThreads() workers, with the build
 ///       type named beside it), and a 20,000-level dimension's gathered
 ///       target pass over 4 measures (groupby_wide_target, ungated: one
-///       task against one task per measure on such a pool).
+///       task against one task per measure on such a pool), and one of its
+///       views' eight built-in features (feature_compute_wide, ungated:
+///       stats::Normalize plus the scalar registry against the fused pass
+///       from raw bins, with the build type named beside it).
 ///       Writes a JSON report and exits nonzero when the gated build
 ///       speedup falls below --min-speedup — CI runs this with
 ///       --min-speedup=4 as a smoke gate, and the committed BENCH_PR9.json
@@ -40,6 +43,7 @@
 #include "common/string_util.h"
 #include "common/threadpool.h"
 #include "core/view_data.h"
+#include "core/feature_kernels.h"
 #include "core/feature_matrix.h"
 #include "core/view.h"
 #include "data/generator.h"
@@ -684,6 +688,51 @@ int RunKernelGate(int argc, char** argv) {
     });
   }
 
+  // One wide view's built-in features (ungated): the 20,000-level
+  // dimension's AVG(m0) over the box, all eight features from the raw bins
+  // as a cold build's phase B computes them (each side's scale, the fused
+  // deviation pass, the measure features), against stats::Normalize of
+  // each side plus the scalar registry.  The view is materialized once,
+  // before the clock.
+  Comparison wide_features;
+  wide_features.name = "feature_compute_wide";
+  auto wide_view = vs::core::MaterializeView(
+      wide_executor, {"g0", "m0", AggregateFunction::kAvg, 0}, wide_box);
+  if (!wide_view.ok()) {
+    std::fprintf(stderr, "materialize: %s\n",
+                 wide_view.status().ToString().c_str());
+    return 1;
+  }
+  {
+    constexpr int kWideEvals = 50;
+    wide_features.units = kWideEvals;
+    const std::vector<double>& target = wide_view->target.values;
+    const std::vector<double>& reference = wide_view->reference.values;
+    vs::core::ViewMaterialization scalar_view;
+    scalar_view.target = wide_view->target;
+    scalar_view.reference = wide_view->reference;
+    wide_features.scalar_seconds = BestOf(config.repeats, [&] {
+      for (int i = 0; i < kWideEvals; ++i) {
+        scalar_view.target_dist = *vs::stats::Normalize(target);
+        scalar_view.reference_dist = *vs::stats::Normalize(reference);
+        auto v = scalar_registry.ComputeAll(scalar_view);
+        benchmark::DoNotOptimize(v);
+      }
+    });
+    double out[vs::core::kNumBuiltinFeatures];
+    wide_features.kernel_seconds = BestOf(config.repeats, [&] {
+      for (int i = 0; i < kWideEvals; ++i) {
+        auto deviation = vs::core::FusedDeviationDistances(
+            target, *vs::stats::ComputeBinScale(target), reference,
+            *vs::stats::ComputeBinScale(reference));
+        auto measure = vs::core::ComputeMeasureFeatures(wide_view->target,
+                                                        wide_view->reference);
+        vs::core::StoreBuiltinFeatures(*deviation, *measure, out);
+        benchmark::DoNotOptimize(out);
+      }
+    });
+  }
+
   // --- Report --------------------------------------------------------------
   const std::string build_type = vs::GetBuildInfo().build_type.empty()
                                      ? "unknown build type"
@@ -710,6 +759,13 @@ int RunKernelGate(int argc, char** argv) {
       wide_target.name.c_str(), wide_target.scalar_seconds * 1e3,
       wide_target.kernel_seconds * 1e3, select_workers, wide_target.speedup(),
       wide_box.size(), build_type.c_str());
+  std::printf(
+      "%-24s %9.3f ms scalar %9.3f ms fused from raw bins %8.2fx  "
+      "(20000 bins, %s, ungated)\n",
+      wide_features.name.c_str(),
+      wide_features.scalar_seconds * 1e3 / wide_features.units,
+      wide_features.kernel_seconds * 1e3 / wide_features.units,
+      wide_features.speedup(), build_type.c_str());
   std::printf(
       "%-24s %14s %14.3e %8.2fx  (filled memo vs empty memo, ungated)\n",
       "feature_matrix_build_memo", "",
@@ -762,10 +818,17 @@ int RunKernelGate(int argc, char** argv) {
   json += vs::StrFormat(
       "  \"groupby_wide_target\": {\"selected_rows\": %zu, \"levels\": 20000, "
       "\"measures\": %zu, \"one_task_ms\": %.3f, \"per_measure_ms\": %.3f, "
-      "\"pool_workers\": %zu, \"speedup\": %.3f, \"build_type\": \"%s\"}\n",
+      "\"pool_workers\": %zu, \"speedup\": %.3f, \"build_type\": \"%s\"},\n",
       wide_box.size(), wide_measures.size(), wide_target.scalar_seconds * 1e3,
       wide_target.kernel_seconds * 1e3, select_workers, wide_target.speedup(),
       build_type.c_str());
+  json += vs::StrFormat(
+      "  \"feature_compute_wide\": {\"bins\": %zu, \"scalar_ms\": %.4f, "
+      "\"fused_ms\": %.4f, \"speedup\": %.3f, \"build_type\": \"%s\"}\n",
+      wide_view->target.num_bins(),
+      wide_features.scalar_seconds * 1e3 / wide_features.units,
+      wide_features.kernel_seconds * 1e3 / wide_features.units,
+      wide_features.speedup(), build_type.c_str());
   json += "}\n";
 
   if (!config.json_out.empty()) {

@@ -11,9 +11,12 @@
 /// (dimension, measure), together with P-value's normalized reference
 /// count distribution.  The pair is keyed by grid, not by dimension,
 /// because a measure with null cells has its own counts.
-/// KL/EMD/L1/L2/MAX_DIFF and custom registered features still run per
-/// view, and the scalar oracle path (use_kernels = false) keeps per-view
-/// ComputeAll.  Either way the values are bit-identical.
+/// KL/EMD/L1/L2/MAX_DIFF run per view in one fused pass over the raw bin
+/// values, which normalizes them inline (Eq. 5), so a built-in-only
+/// registry materializes no distribution; custom registered features
+/// still get the view's distributions.  The scalar oracle path
+/// (use_kernels = false) keeps per-view ComputeAll.  Either way the values
+/// are bit-identical.
 ///
 /// Build runs in three phases on the borrowed FeatureMatrixOptions::pool
 /// (inline without one), each under its own trace span:
@@ -22,12 +25,13 @@
 ///  A. groups: each group's target pass folds one task per measure from
 ///     the staged bins, so no task holds a whole wide group, then one task
 ///     per group runs its reference pass;
-///  B. features: one task per grid pair for the measure features, then
-///     one task per view.
+///  B. features: one task list, widest views first, of one task per grid
+///     pair for the measure features and one per view for the rest.
 /// Every task writes only its own slot, so the matrix is bit-identical
-/// with any pool size, and the status is the first failure in task order,
-/// the inline build's.  RefineRows runs the same helpers inline, one group
-/// at a time, in place: one target task per group.
+/// with any pool size, and the status is the first failure in the inline
+/// build's order (task order in phases 0 and A, view order in phase B).
+/// RefineRows runs the same helpers inline, one group at a time, in
+/// place: one target task per group.
 
 #include "core/feature_matrix.h"
 
@@ -212,80 +216,135 @@ vs::Status RunGroupPasses(const data::GroupByExecutor& executor,
 }
 
 /// Phase B: writes each view's features into its row of \p raw from the
-/// passes in \p results, on \p pool (inline when null).  The
-/// measure-level features (the kernel path with a registry that fuses the
-/// built-ins, \p share_measure_features) are computed once per (target
-/// grid, reference grid) pair, then one task per view normalizes, runs
-/// ComputeAll, writes the row and frees the view's materialization.
-/// Returns the first failure in view order.
+/// passes in \p results, on \p pool (inline when null), as one task list
+/// that runs the widest views first.  With \p share_measure_features (the
+/// kernel path with a registry that fuses the built-ins) one task per
+/// (target grid, reference grid) pair computes the measure features, and
+/// each view's task scales its raw bins and runs the fused deviation pass
+/// on them, normalizing into distributions only for custom features;
+/// otherwise each view's task normalizes and runs ComputeAll.  A view's
+/// task frees its materialization.  Every task runs, and the status is the
+/// first failure in view order, each view failing in the order a
+/// view-at-a-time build meets it: target normalization, reference
+/// normalization, its pair, then the deviation pass and custom features.
 vs::Status ComputeGroupFeatures(const std::vector<std::vector<size_t>>& groups,
                                 std::vector<GroupResults>* results,
                                 const UtilityFeatureRegistry& registry,
                                 bool share_measure_features, ThreadPool* pool,
                                 ml::Matrix* raw) {
-  // Views in (group, member) order, and with shared measure features the
-  // grid pair each one reads.
   struct ViewTask {
     size_t group;
     size_t member;
     size_t pair;
   };
-  std::vector<ViewTask> tasks;
-  using GridPair = std::pair<const data::KernelGrid*, const data::KernelGrid*>;
-  std::vector<GridPair> pairs;
-  std::vector<size_t> pair_first_task;
+  /// The grids a pair's measure features read, held apart from the views'
+  /// results, which their tasks free.
+  struct PairTask {
+    data::GroupByResult target;
+    data::GroupByResult reference;
+  };
+  struct Task {
+    size_t width;  ///< bins
+    size_t index;  ///< into views or pairs
+    bool pair;
+  };
+  std::vector<ViewTask> views;
+  std::vector<PairTask> pairs;
+  std::vector<Task> tasks;
   for (size_t g = 0; g < groups.size(); ++g) {
     for (size_t k = 0; k < groups[g].size(); ++k) {
+      const data::GroupByResult& target = (*results)[g].targets[k];
+      const data::GroupByResult& reference = (*results)[g].references[k];
       size_t pair = 0;
       if (share_measure_features) {
-        const GridPair grids((*results)[g].targets[k].moments.get(),
-                             (*results)[g].references[k].moments.get());
         pair = static_cast<size_t>(
-            std::find(pairs.begin(), pairs.end(), grids) - pairs.begin());
+            std::find_if(pairs.begin(), pairs.end(),
+                         [&](const PairTask& p) {
+                           return p.target.moments == target.moments &&
+                                  p.reference.moments == reference.moments;
+                         }) -
+            pairs.begin());
         if (pair == pairs.size()) {
-          pairs.push_back(grids);
-          pair_first_task.push_back(tasks.size());
+          pairs.emplace_back();
+          pairs.back().target.moments = target.moments;
+          pairs.back().reference.moments = reference.moments;
+          tasks.push_back({target.num_bins(), pair, true});
         }
       }
-      tasks.push_back({g, k, pair});
+      tasks.push_back({target.num_bins(), views.size(), false});
+      views.push_back({g, k, pair});
     }
   }
-  // A pair's failure is reported by each of its views, after the view's
-  // own normalization: the order a view-at-a-time build meets it in.
+  std::stable_sort(tasks.begin(), tasks.end(),
+                   [](const Task& a, const Task& b) {
+                     return a.width > b.width;
+                   });
+
+  const bool custom_features =
+      registry.size() > static_cast<size_t>(kNumBuiltinFeatures);
+  std::vector<vs::Status> view_status(views.size());
+  std::vector<char> view_scaled(views.size(), 0);
+  std::vector<DeviationDistances> deviations(views.size());
   std::vector<vs::Status> pair_status(pairs.size());
   std::vector<MeasureFeatures> pair_features(pairs.size());
-  RunTasks(pool, pairs.size(), [&](size_t p) {
-    const ViewTask& first = tasks[pair_first_task[p]];
-    vs::Result<MeasureFeatures> measure = ComputeMeasureFeatures(
-        (*results)[first.group].targets[first.member],
-        (*results)[first.group].references[first.member]);
-    if (measure.ok()) {
-      pair_features[p] = *measure;
-    } else {
-      pair_status[p] = measure.status();
-    }
-    return vs::Status::OK();  // reported by the pair's views
-  });
-  return RunTasks(pool, tasks.size(), [&](size_t t) {
-    const ViewTask& task = tasks[t];
+  auto run_view = [&](size_t v) -> vs::Status {
+    const ViewTask& task = views[v];
     ViewMaterialization mat;
     mat.target = std::move((*results)[task.group].targets[task.member]);
     mat.reference = std::move((*results)[task.group].references[task.member]);
-    VS_ASSIGN_OR_RETURN(mat.target_dist, stats::Normalize(mat.target.values));
-    VS_ASSIGN_OR_RETURN(mat.reference_dist,
-                        stats::Normalize(mat.reference.values));
-    ml::Vector features;
-    if (share_measure_features) {
-      VS_RETURN_IF_ERROR(pair_status[task.pair]);
-      VS_ASSIGN_OR_RETURN(features,
-                          registry.ComputeAll(mat, pair_features[task.pair]));
-    } else {
-      VS_ASSIGN_OR_RETURN(features, registry.ComputeAll(mat));
+    VS_ASSIGN_OR_RETURN(const stats::BinScale target_scale,
+                        stats::ComputeBinScale(mat.target.values));
+    VS_ASSIGN_OR_RETURN(const stats::BinScale reference_scale,
+                        stats::ComputeBinScale(mat.reference.values));
+    if (!share_measure_features || custom_features) {
+      mat.target_dist = stats::Normalize(mat.target.values, target_scale);
+      mat.reference_dist =
+          stats::Normalize(mat.reference.values, reference_scale);
     }
-    const size_t row = groups[task.group][task.member];
-    for (size_t j = 0; j < features.size(); ++j) (*raw)(row, j) = features[j];
-    return vs::Status::OK();
+    view_scaled[v] = 1;
+    double* row = raw->RowPtr(groups[task.group][task.member]);
+    if (!share_measure_features) {
+      VS_ASSIGN_OR_RETURN(const ml::Vector features, registry.ComputeAll(mat));
+      std::copy(features.begin(), features.end(), row);
+      return vs::Status::OK();
+    }
+    VS_ASSIGN_OR_RETURN(
+        deviations[v],
+        FusedDeviationDistances(mat.target.values, target_scale,
+                                mat.reference.values, reference_scale));
+    if (!custom_features) return vs::Status::OK();
+    return registry.ComputeCustomFeatures(mat, row);
+  };
+  RunTasks(pool, tasks.size(), [&](size_t t) {
+    const Task& task = tasks[t];
+    if (!task.pair) {
+      view_status[task.index] = run_view(task.index);
+      return vs::Status::OK();
+    }
+    vs::Result<MeasureFeatures> measure = ComputeMeasureFeatures(
+        pairs[task.index].target, pairs[task.index].reference);
+    if (measure.ok()) {
+      pair_features[task.index] = *measure;
+    } else {
+      pair_status[task.index] = measure.status();
+    }
+    return vs::Status::OK();  // reported in view order below
   });
+  for (size_t v = 0; v < views.size(); ++v) {
+    if (!view_status[v].ok() && view_scaled[v] == 0) return view_status[v];
+    if (share_measure_features && !pair_status[views[v].pair].ok()) {
+      return pair_status[views[v].pair];
+    }
+    if (!view_status[v].ok()) return view_status[v];
+  }
+  if (share_measure_features) {
+    for (size_t v = 0; v < views.size(); ++v) {
+      StoreBuiltinFeatures(
+          deviations[v], pair_features[views[v].pair],
+          raw->RowPtr(groups[views[v].group][views[v].member]));
+    }
+  }
+  return vs::Status::OK();
 }
 
 }  // namespace
@@ -487,10 +546,6 @@ void FeatureMatrix::DetachStateIfShared() {
   if (state_.use_count() == 1) return;
   state_ = std::make_shared<State>(*state_);
   BuildMetrics::Get().cow_detaches->Increment();
-}
-
-vs::Status FeatureMatrix::RefineRow(size_t view_index) {
-  return RefineRows({view_index});
 }
 
 vs::Status FeatureMatrix::RefineRows(

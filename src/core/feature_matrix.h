@@ -115,10 +115,6 @@ class FeatureMatrix {
   /// True when every row is exact.
   bool AllExact() const { return state_->num_exact == imm_->views.size(); }
 
-  /// Recomputes row \p view_index on the full data (no-op if already
-  /// exact).  Normalization is invalidated.
-  vs::Status RefineRow(size_t view_index);
-
   /// Batch refinement: recomputes every rough row in \p view_indices on
   /// the full data, sharing one scan per (dimension, bin count) group —
   /// the same SeeDB-style batching Build() uses.  Already-exact rows are
@@ -126,7 +122,7 @@ class FeatureMatrix {
   /// shares state with another (copy-on-write).
   vs::Status RefineRows(const std::vector<size_t>& view_indices);
 
-  /// Approximate work units (rows scanned) one RefineRow costs; used to
+  /// Approximate work units (rows scanned) refining one row costs; used to
   /// charge deterministic Deadlines.
   int64_t RefineCostPerRow() const;
 

@@ -153,30 +153,30 @@ vs::Result<size_t> UtilityFeatureRegistry::IndexOf(
 
 vs::Result<ml::Vector> UtilityFeatureRegistry::ComputeAll(
     const ViewMaterialization& view) const {
+  ml::Vector out(fns_.size(), 0.0);
   if (fuses_builtins()) {
     VS_ASSIGN_OR_RETURN(MeasureFeatures measure,
                         ComputeMeasureFeatures(view.target, view.reference));
-    return ComputeAll(view, measure);
+    VS_RETURN_IF_ERROR(ComputeBuiltinFeatures(view, measure, out.data()));
+    VS_RETURN_IF_ERROR(ComputeCustomFeatures(view, out.data()));
+    return out;
   }
-  ml::Vector out(fns_.size(), 0.0);
   for (size_t i = 0; i < fns_.size(); ++i) {
     VS_ASSIGN_OR_RETURN(out[i], fns_[i](view));
   }
   return out;
 }
 
-vs::Result<ml::Vector> UtilityFeatureRegistry::ComputeAll(
-    const ViewMaterialization& view, const MeasureFeatures& measure) const {
+vs::Status UtilityFeatureRegistry::ComputeCustomFeatures(
+    const ViewMaterialization& view, double* out) const {
   if (!fuses_builtins()) {
     return vs::Status::FailedPrecondition(
-        "shared measure features need the fused built-in prefix");
+        "custom features alone need the fused built-in prefix");
   }
-  ml::Vector out(fns_.size(), 0.0);
-  VS_RETURN_IF_ERROR(ComputeBuiltinFeatures(view, measure, out.data()));
   for (size_t i = kNumBuiltinFeatures; i < fns_.size(); ++i) {
     VS_ASSIGN_OR_RETURN(out[i], fns_[i](view));
   }
-  return out;
+  return vs::Status::OK();
 }
 
 }  // namespace vs::core

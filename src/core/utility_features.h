@@ -85,14 +85,13 @@ class UtilityFeatureRegistry {
   /// registered on top are always evaluated through their own function.
   vs::Result<ml::Vector> ComputeAll(const ViewMaterialization& view) const;
 
-  /// ComputeAll on the fused path with the built-in Usability, Accuracy
-  /// and P-value taken from \p measure, which must be
-  /// ComputeMeasureFeatures(view.target, view.reference) — so a caller
-  /// holding many views over one (target grid, reference grid) pair
-  /// computes them once.  Values are bit-identical to ComputeAll(view).
-  /// FailedPrecondition unless fuses_builtins().
-  vs::Result<ml::Vector> ComputeAll(const ViewMaterialization& view,
-                                    const MeasureFeatures& measure) const;
+  /// Evaluates the features registered after the built-in prefix on
+  /// \p view into out[kNumBuiltinFeatures, size()), in registration order:
+  /// what ComputeAll(view) adds to the fused built-ins, for a caller that
+  /// computes those itself (core/feature_kernels.h).  FailedPrecondition
+  /// unless fuses_builtins().
+  vs::Status ComputeCustomFeatures(const ViewMaterialization& view,
+                                   double* out) const;
 
   /// True when ComputeAll evaluates the built-in prefix through the fused
   /// kernels: a Default() registry with kernels on.

@@ -2,34 +2,48 @@
 
 #include <cmath>
 
+#include "common/string_util.h"
+
 namespace vs::stats {
 
-vs::Result<Distribution> Normalize(const std::vector<double>& values) {
+vs::Result<BinScale> ComputeBinScale(const std::vector<double>& values) {
   if (values.empty()) {
     return vs::Status::InvalidArgument("cannot normalize an empty view");
   }
   double min_v = values[0];
-  for (double v : values) {
+  for (size_t i = 0; i < values.size(); ++i) {
+    const double v = values[i];
     if (!std::isfinite(v)) {
-      return vs::Status::InvalidArgument(
-          "cannot normalize non-finite bin value");
+      return vs::Status::InvalidArgument(vs::StrFormat(
+          "cannot normalize non-finite value %g in bin %zu of %zu", v, i,
+          values.size()));
     }
     if (v < min_v) min_v = v;
   }
-  const double shift = min_v < 0.0 ? -min_v : 0.0;
-  double total = 0.0;
-  for (double v : values) total += v + shift;
+  BinScale scale;
+  scale.shift = min_v < 0.0 ? -min_v : 0.0;
+  scale.total = 0.0;
+  for (double v : values) scale.total += v + scale.shift;
+  scale.uniform = scale.total <= 0.0;
+  return scale;
+}
 
+vs::Result<Distribution> Normalize(const std::vector<double>& values) {
+  VS_ASSIGN_OR_RETURN(const BinScale scale, ComputeBinScale(values));
+  return Normalize(values, scale);
+}
+
+Distribution Normalize(const std::vector<double>& values,
+                       const BinScale& scale) {
   Distribution d;
   d.p.resize(values.size());
-  if (total <= 0.0) {
-    // Degenerate all-zero view: uniform.
+  if (scale.uniform) {
     const double u = 1.0 / static_cast<double>(values.size());
     for (double& x : d.p) x = u;
     return d;
   }
   for (size_t i = 0; i < values.size(); ++i) {
-    d.p[i] = (values[i] + shift) / total;
+    d.p[i] = (values[i] + scale.shift) / scale.total;
   }
   return d;
 }

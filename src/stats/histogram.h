@@ -27,9 +27,29 @@ struct Distribution {
   double operator[](size_t i) const { return p[i]; }
 };
 
+/// \brief The map Normalize applies to one view's raw bin values:
+/// p_i = (v_i + shift) / total, or 1/n in every bin when uniform.  The
+/// default is the identity: x + 0.0 and x / 1.0 return x (a -0.0 becomes
+/// +0.0, which compares equal).
+struct BinScale {
+  double shift = 0.0;
+  double total = 1.0;
+  bool uniform = false;  ///< degenerate all-zero view
+};
+
+/// The scale that normalizes \p values (Eq. 5): the shift is minus the
+/// minimum when a value is negative, the total the sum of the shifted
+/// values, and a total <= 0 means uniform.  Fails on empty input or
+/// non-finite values.
+vs::Result<BinScale> ComputeBinScale(const std::vector<double>& values);
+
 /// Normalizes raw bin values into a Distribution (Eq. 5).  Fails on empty
 /// input or non-finite values.
 vs::Result<Distribution> Normalize(const std::vector<double>& values);
+
+/// Applies \p scale, which must be ComputeBinScale(values), to \p values.
+Distribution Normalize(const std::vector<double>& values,
+                       const BinScale& scale);
 
 /// True iff \p d is a valid distribution: non-negative entries summing to
 /// 1 within \p tolerance.

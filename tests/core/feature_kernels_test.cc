@@ -1,6 +1,9 @@
 #include "core/feature_kernels.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -88,6 +91,156 @@ TEST(FeatureKernelsTest, FusedDeviationShapeErrorsMatchScalar) {
   auto fused_empty = FusedDeviationDistances(empty, empty);
   auto scalar_empty = stats::L1Distance(empty, empty);
   EXPECT_EQ(fused_empty.ok(), scalar_empty.ok());
+}
+
+// The raw-values path: each side's scale, then the kernel on the raw bins.
+vs::Result<DeviationDistances> FromRawValues(
+    const std::vector<double>& target, const std::vector<double>& reference,
+    double smoothing) {
+  VS_ASSIGN_OR_RETURN(const stats::BinScale target_scale,
+                      stats::ComputeBinScale(target));
+  VS_ASSIGN_OR_RETURN(const stats::BinScale reference_scale,
+                      stats::ComputeBinScale(reference));
+  return FusedDeviationDistances(target, target_scale, reference,
+                                 reference_scale, smoothing);
+}
+
+// The distribution path: stats::Normalize on each side, then the kernel.
+vs::Result<DeviationDistances> FromDistributions(
+    const std::vector<double>& target, const std::vector<double>& reference,
+    double smoothing) {
+  VS_ASSIGN_OR_RETURN(const stats::Distribution p, stats::Normalize(target));
+  VS_ASSIGN_OR_RETURN(const stats::Distribution q,
+                      stats::Normalize(reference));
+  return FusedDeviationDistances(p, q, smoothing);
+}
+
+// The scalar status: stats::Normalize on each side, then
+// stats::KlDivergence, the one scalar distance that can fail on aligned
+// distributions.
+vs::Status ScalarStatus(const std::vector<double>& target,
+                        const std::vector<double>& reference,
+                        double smoothing) {
+  VS_ASSIGN_OR_RETURN(const stats::Distribution p, stats::Normalize(target));
+  VS_ASSIGN_OR_RETURN(const stats::Distribution q,
+                      stats::Normalize(reference));
+  return stats::KlDivergence(p, q, smoothing).status();
+}
+
+void ExpectSameBits(double want, double got, const std::string& what) {
+  EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
+      << what << ": " << want << " vs " << got;
+}
+
+// Raw bins of one kind, \p bins long.
+std::vector<double> RawBins(Rng& rng, size_t bins, const std::string& kind) {
+  std::vector<double> values(bins);
+  for (size_t i = 0; i < bins; ++i) {
+    if (kind == "positive") {
+      values[i] = rng.NextDouble() * 100.0;
+    } else if (kind == "signed") {  // shifted by the minimum
+      values[i] = rng.NextGaussian() * 10.0;
+    } else if (kind == "sparse") {  // zero mass in most bins
+      values[i] = rng.NextBernoulli(0.2) ? rng.NextDouble() : 0.0;
+    } else if (kind == "zero") {  // uniform
+      values[i] = 0.0;
+    } else if (kind == "inf") {
+      values[i] = i == bins / 2 ? std::numeric_limits<double>::infinity()
+                                : rng.NextDouble();
+    } else if (kind == "nan") {
+      values[i] = i + 1 == bins ? std::numeric_limits<double>::quiet_NaN()
+                                : rng.NextDouble();
+    }
+  }
+  return values;
+}
+
+// Scaling inside the kernel is exact: over every bin count around the lane
+// width and the block size, up to a 20,000-level dimension, and raw bins
+// that are shifted, uniform, sparse (zero reference mass, an error with
+// smoothing 0) or non-finite, the raw-values result has the bits of
+// stats::Normalize followed by the kernel, and every error has the status
+// code of stats::Normalize and stats::KlDivergence.
+TEST(FeatureKernelsTest, RawValuesMatchNormalizeThenKernel) {
+  Rng rng(20261021);
+  const std::vector<std::string> kinds = {"positive", "signed", "sparse",
+                                          "zero",     "inf",    "nan"};
+  size_t compared = 0;
+  size_t failed = 0;
+  for (const size_t bins :
+       {size_t{1}, size_t{3}, size_t{4}, size_t{5}, kFusedBlock - 1,
+        kFusedBlock, kFusedBlock + 1, size_t{4097}, size_t{20'000}}) {
+    for (const std::string& target_kind : kinds) {
+      for (const std::string& reference_kind : kinds) {
+        const std::vector<double> target = RawBins(rng, bins, target_kind);
+        const std::vector<double> reference =
+            RawBins(rng, bins, reference_kind);
+        for (const double smoothing : {1e-6, 0.0}) {
+          const std::string context =
+              "bins " + std::to_string(bins) + " target " + target_kind +
+              " reference " + reference_kind + " smoothing " +
+              std::to_string(smoothing);
+          const auto raw = FromRawValues(target, reference, smoothing);
+          const auto dist = FromDistributions(target, reference, smoothing);
+          const vs::Status scalar = ScalarStatus(target, reference, smoothing);
+          ASSERT_EQ(raw.ok(), dist.ok()) << context;
+          ASSERT_EQ(raw.ok(), scalar.ok()) << context;
+          if (!raw.ok()) {
+            EXPECT_EQ(raw.status().code(), scalar.code()) << context;
+            EXPECT_EQ(dist.status().code(), scalar.code()) << context;
+            ++failed;
+            continue;
+          }
+          ExpectSameBits(dist->kl, raw->kl, context + " KL");
+          ExpectSameBits(dist->emd, raw->emd, context + " EMD");
+          ExpectSameBits(dist->l1, raw->l1, context + " L1");
+          ExpectSameBits(dist->l2, raw->l2, context + " L2");
+          ExpectSameBits(dist->max_diff, raw->max_diff, context + " MAX_DIFF");
+          ++compared;
+        }
+      }
+    }
+  }
+  // Both outcomes are exercised at every size.
+  EXPECT_GT(compared, 0u);
+  EXPECT_GT(failed, 0u);
+
+  // Misaligned and empty sides fail like the scalar distances.
+  const std::vector<double> three = {1.0, 2.0, 3.0};
+  const std::vector<double> four = {1.0, 2.0, 3.0, 4.0};
+  EXPECT_EQ(FromRawValues(three, four, 1e-6).status().code(),
+            ScalarStatus(three, four, 1e-6).code());
+  EXPECT_EQ(FromRawValues({}, {}, 1e-6).status().code(),
+            ScalarStatus({}, {}, 1e-6).code());
+  EXPECT_EQ(FusedDeviationDistances(std::span<const double>(), {},
+                                    std::span<const double>(), {})
+                .status()
+                .code(),
+            stats::L1Distance(stats::Distribution{}, stats::Distribution{})
+                .status()
+                .code());
+}
+
+// Over many blocks the fused pass still agrees with the five scalar
+// distances within accumulation tolerance.
+TEST(FeatureKernelsTest, WideRawValuesMatchScalarDistances) {
+  Rng rng(4097);
+  for (const size_t bins : {size_t{4097}, size_t{20'000}}) {
+    const std::vector<double> target = RawBins(rng, bins, "signed");
+    const std::vector<double> reference = RawBins(rng, bins, "sparse");
+    const auto raw = FromRawValues(target, reference, 1e-6);
+    ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+    const stats::Distribution p = *stats::Normalize(target);
+    const stats::Distribution q = *stats::Normalize(reference);
+    const std::string context = "bins " + std::to_string(bins);
+    ExpectFeatureNear(*stats::KlDivergence(p, q), raw->kl, context + " KL");
+    ExpectFeatureNear(*stats::EarthMoversDistance(p, q), raw->emd,
+                      context + " EMD");
+    ExpectFeatureNear(*stats::L1Distance(p, q), raw->l1, context + " L1");
+    ExpectFeatureNear(*stats::L2Distance(p, q), raw->l2, context + " L2");
+    ExpectFeatureNear(*stats::MaxDiff(p, q), raw->max_diff,
+                      context + " MAX_DIFF");
+  }
 }
 
 // End-to-end: materialized views from random tables through the Default()
@@ -257,17 +410,22 @@ TEST(FeatureKernelsTest, ComputeBuiltinFeaturesMatchesRegistry) {
   for (int f = 0; f < kNumBuiltinFeatures; ++f) {
     EXPECT_EQ(raw[f], (*values)[f]) << f;
   }
-  // The shared-measure overload gives the same bits, and is refused by a
-  // registry that does not fuse the built-ins.
-  auto shared = registry.ComputeAll(*view, *measure);
-  ASSERT_TRUE(shared.ok());
-  for (int f = 0; f < kNumBuiltinFeatures; ++f) {
-    EXPECT_EQ((*shared)[f], (*values)[f]) << f;
+  // With a custom feature appended, the built-ins plus the custom features
+  // alone give ComputeAll's bits, and a registry that does not fuse the
+  // built-ins refuses the custom features alone.
+  ASSERT_TRUE(registry.Register("TREND", MakeTrendFeature()).ok());
+  auto all = registry.ComputeAll(*view);
+  ASSERT_TRUE(all.ok());
+  std::vector<double> split(registry.size());
+  ASSERT_TRUE(ComputeBuiltinFeatures(*view, *measure, split.data()).ok());
+  ASSERT_TRUE(registry.ComputeCustomFeatures(*view, split.data()).ok());
+  for (size_t f = 0; f < registry.size(); ++f) {
+    EXPECT_EQ(split[f], (*all)[f]) << f;
   }
   registry.set_use_kernels(false);
   EXPECT_FALSE(registry.fuses_builtins());
-  EXPECT_TRUE(
-      registry.ComputeAll(*view, *measure).status().IsFailedPrecondition());
+  EXPECT_TRUE(registry.ComputeCustomFeatures(*view, split.data())
+                  .IsFailedPrecondition());
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "core/view_data.h"
 #include "data/groupby.h"
 #include "data/sampler.h"
+#include "stats/distance.h"
 
 namespace vs::core {
 namespace {
@@ -114,13 +115,22 @@ void ExpectBitEqual(const ml::Matrix& want, const ml::Matrix& got,
   }
 }
 
-/// The default registry, and the default registry with one custom feature
-/// appended (evaluated per view through its own function).
+/// The default registry, and the default registry with two custom
+/// features appended (evaluated per view through their own functions).
+/// The second reads the view's normalized distributions, which the fused
+/// built-ins do without, so it fails if a build hands it none.
 std::vector<UtilityFeatureRegistry> Registries() {
   std::vector<UtilityFeatureRegistry> registries;
   registries.push_back(UtilityFeatureRegistry::Default());
   registries.push_back(UtilityFeatureRegistry::Default());
   EXPECT_TRUE(registries.back().Register("TREND", MakeTrendFeature()).ok());
+  EXPECT_TRUE(registries.back()
+                  .Register("DIST_L1",
+                            [](const ViewMaterialization& view) {
+                              return stats::L1Distance(view.target_dist,
+                                                       view.reference_dist);
+                            })
+                  .ok());
   return registries;
 }
 

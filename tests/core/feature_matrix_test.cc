@@ -1,8 +1,10 @@
 #include "core/feature_matrix.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -10,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "common/threadpool.h"
+#include "core/feature_kernels.h"
 #include "core_test_util.h"
 #include "data/generator.h"
 #include "data/groupby.h"
@@ -74,7 +78,7 @@ TEST(FeatureMatrixTest, SampledBuildIsRoughButRefinable) {
 
   // Refine every row: raw values must then match the exact build.
   for (size_t i = 0; i < rough.matrix->num_views(); ++i) {
-    ASSERT_TRUE(rough.matrix->RefineRow(i).ok());
+    ASSERT_TRUE(rough.matrix->RefineRows({i}).ok());
     EXPECT_TRUE(rough.matrix->IsExact(i));
   }
   EXPECT_TRUE(rough.matrix->AllExact());
@@ -113,9 +117,9 @@ TEST(FeatureMatrixTest, RoughFeaturesApproximateExact) {
 
 TEST(FeatureMatrixTest, RefineRowIsIdempotent) {
   auto rough = testutil::MakeMiniWorld(0.3);
-  ASSERT_TRUE(rough.matrix->RefineRow(0).ok());
+  ASSERT_TRUE(rough.matrix->RefineRows({0}).ok());
   const double v = rough.matrix->raw()(0, 0);
-  ASSERT_TRUE(rough.matrix->RefineRow(0).ok());  // no-op
+  ASSERT_TRUE(rough.matrix->RefineRows({0}).ok());  // no-op
   EXPECT_DOUBLE_EQ(rough.matrix->raw()(0, 0), v);
   EXPECT_EQ(rough.matrix->num_exact(), 1u);
 }
@@ -124,7 +128,7 @@ TEST(FeatureMatrixTest, RefinementInvalidatesNormalization) {
   auto rough = testutil::MakeMiniWorld(0.3);
   const ml::Matrix before = rough.matrix->normalized();
   for (size_t i = 0; i < rough.matrix->num_views(); ++i) {
-    ASSERT_TRUE(rough.matrix->RefineRow(i).ok());
+    ASSERT_TRUE(rough.matrix->RefineRows({i}).ok());
   }
   const ml::Matrix& after = rough.matrix->normalized();
   // At least one normalized entry must have moved.
@@ -181,7 +185,7 @@ TEST(FeatureMatrixTest, BuildValidation) {
 
 TEST(FeatureMatrixTest, RefineRowOutOfRange) {
   auto world = testutil::MakeMiniWorld(0.5);
-  EXPECT_FALSE(world.matrix->RefineRow(9999).ok());
+  EXPECT_FALSE(world.matrix->RefineRows({9999}).ok());
 }
 
 TEST(FeatureMatrixTest, RefineCostReflectsTableSize) {
@@ -325,7 +329,7 @@ TEST(FeatureMatrixTest, NormalizedIsPerHandleAfterDetach) {
   const ml::Matrix canonical_norm = rough.matrix->normalized();
   FeatureMatrix session_copy = *rough.matrix;
   for (size_t i = 0; i < session_copy.num_views(); ++i) {
-    ASSERT_TRUE(session_copy.RefineRow(i).ok());
+    ASSERT_TRUE(session_copy.RefineRows({i}).ok());
   }
   // The copy renormalizes over refined values; the canonical handle's
   // normalization is untouched.
@@ -652,7 +656,10 @@ TEST_F(FeatureMatrixGatherTest, KernelFaultFailsGatheredBuild) {
 // rough, shared scans and per-view groups.  Dimension c has more than 256
 // levels, so its target passes take the no-lane path, and null cells in
 // it and in the md/mi measures; on the larger table the exact build's
-// few-bin groups take the lane path beside it.
+// few-bin groups take the lane path beside it.  Its views span many
+// blocks of the fused deviation pass and end in a partial one (4,097
+// levels leave a single bin), so phase B runs them first, beside the
+// few-bin views that fit in one block.
 TEST_F(FeatureMatrixGatherTest, EveryPoolSizeMatchesSequential) {
   struct Shape {
     size_t rows;
@@ -660,7 +667,8 @@ TEST_F(FeatureMatrixGatherTest, EveryPoolSizeMatchesSequential) {
     double keep;
   };
   for (const Shape& shape :
-       {Shape{6'000, 500, 0.35}, Shape{70'000, 300, 0.97}}) {
+       {Shape{6'000, 500, 0.35}, Shape{70'000, 300, 0.97},
+        Shape{9'000, 4'097, 0.6}}) {
     const data::Table table = MakeTable(shape.rows, shape.levels, 101);
     const auto views = *EnumerateViews(table, {});
     const data::SelectionVector query =
@@ -669,6 +677,8 @@ TEST_F(FeatureMatrixGatherTest, EveryPoolSizeMatchesSequential) {
         table.ColumnByName("c")->get());
     ASSERT_NE(c, nullptr);
     ASSERT_GT(c->cardinality(), 256);
+    ASSERT_GT(c->cardinality(), static_cast<int32_t>(kFusedBlock));
+    ASSERT_NE(static_cast<size_t>(c->cardinality()) % kFusedBlock, 0u);
     ASSERT_GT(c->null_count(), 0u);
     ASSERT_GT((*table.ColumnByName("md"))->null_count(), 0u);
     ASSERT_GT((*table.ColumnByName("mi"))->null_count(), 0u);
@@ -890,6 +900,77 @@ TEST_F(FeatureMatrixGatherTest, FirstFailureInOrderWinsWithPool) {
                             })
                   .ok());
   expect_inline_status(views, failing, /*use_kernels=*/true, "slow failure");
+}
+
+// Phase B runs the widest views first but reports the first failure in
+// view order.  One measure holds +inf in one row, so every view over it
+// that sums or maxes that row fails to normalize, with an error that
+// names its width: the early views over the 5-level dimension s and the
+// later ones over the 1,000-level dimension c, which a pool starts
+// first.  Every pool size returns the inline build's status, which is
+// the first s view's.
+TEST_F(FeatureMatrixGatherTest, WidestFirstReportsFirstFailureInViewOrder) {
+  auto schema = *data::Schema::Make({
+      {"s", data::DataType::kString, data::FieldRole::kDimension},
+      {"c", data::DataType::kString, data::FieldRole::kDimension},
+      {"m", data::DataType::kDouble, data::FieldRole::kMeasure},
+      {"ok", data::DataType::kDouble, data::FieldRole::kMeasure},
+  });
+  data::TableBuilder b(schema);
+  Rng rng(161);
+  constexpr uint64_t kWide = 1'000;
+  for (uint64_t r = 0; r < 4'000; ++r) {
+    const uint64_t code = r < kWide ? r : rng.NextBounded(kWide);
+    ASSERT_TRUE(
+        b.AppendRow(
+             {data::Value(StrFormat("S%d", static_cast<int>(r % 5))),
+              data::Value(StrFormat("L%d", static_cast<int>(code))),
+              data::Value(r == 777 ? std::numeric_limits<double>::infinity()
+                                   : rng.NextGaussian()),
+              data::Value(rng.NextDouble())})
+            .ok());
+  }
+  const data::Table table = *b.Build();
+  const data::SelectionVector query = Subset(table.num_rows(), 0.5, 162);
+  ASSERT_TRUE(std::binary_search(query.begin(), query.end(), 777u));
+  using data::AggregateFunction;
+  std::vector<ViewSpec> views;
+  std::vector<ViewSpec> wide_views;
+  for (const char* dimension : {"s", "c"}) {
+    for (const char* measure : {"ok", "m"}) {
+      for (const AggregateFunction func :
+           {AggregateFunction::kCount, AggregateFunction::kSum,
+            AggregateFunction::kMax}) {
+        views.push_back({dimension, measure, func, 0});
+        if (std::string(dimension) == "c") wide_views.push_back(views.back());
+      }
+    }
+  }
+  const UtilityFeatureRegistry registry = UtilityFeatureRegistry::Default();
+  const vs::Status sequential =
+      FeatureMatrix::Build(&table, views, query, &registry, {}).status();
+  ASSERT_FALSE(sequential.ok());
+  EXPECT_NE(sequential.message().find("in bin 2 of 5"), std::string::npos)
+      << sequential.ToString();
+  // The wide views fail too, with an error of their own.
+  const vs::Status wide =
+      FeatureMatrix::Build(&table, wide_views, query, &registry, {}).status();
+  ASSERT_FALSE(wide.ok());
+  EXPECT_NE(wide.message().find("in bin 777 of 1000"), std::string::npos)
+      << wide.ToString();
+  for (const size_t workers : {0, 1, 3, 8}) {
+    SCOPED_TRACE(StrFormat("workers %zu", workers));
+    ThreadPool pool(workers);
+    FeatureMatrixOptions options;
+    options.pool = &pool;
+    for (int run = 0; run < 5; ++run) {
+      const vs::Status pooled =
+          FeatureMatrix::Build(&table, views, query, &registry, options)
+              .status();
+      EXPECT_EQ(pooled.code(), sequential.code());
+      EXPECT_EQ(pooled.message(), sequential.message());
+    }
+  }
 }
 
 // feature_seconds holds the feature phase's wall time, so with a pool its

@@ -98,7 +98,7 @@ TEST(PruningTest, OrderIsScoreDescendingRoughOnly) {
 
 TEST(PruningTest, MatrixOverloadUsesExactness) {
   auto world = testutil::MakeMiniWorld(0.3);
-  ASSERT_TRUE(world.matrix->RefineRow(0).ok());
+  ASSERT_TRUE(world.matrix->RefineRows({0}).ok());
   std::vector<double> scores(world.matrix->num_views(), 0.5);
   PruningOptions options;
   options.k = 5;

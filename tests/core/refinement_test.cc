@@ -51,8 +51,8 @@ TEST(RefinementTest, PriorityOrderRespected) {
 
 TEST(RefinementTest, SkipsAlreadyExactRows) {
   auto world = testutil::MakeMiniWorld(0.3);
-  ASSERT_TRUE(world.matrix->RefineRow(0).ok());
-  ASSERT_TRUE(world.matrix->RefineRow(1).ok());
+  ASSERT_TRUE(world.matrix->RefineRows({0}).ok());
+  ASSERT_TRUE(world.matrix->RefineRows({1}).ok());
   IncrementalRefiner refiner(world.matrix.get());
   Deadline deadline = Deadline::Infinite();
   auto stats = refiner.RefineBatch({}, &deadline);
